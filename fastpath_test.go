@@ -14,8 +14,8 @@ import (
 	"repro/internal/pigmix"
 )
 
-// fastpathSystem builds a tiny PigMix system; disable turns the batch
-// cache off via the per-query option applied as the system default.
+// fastpathSystem builds a tiny PigMix system with the given default
+// options; the uncached runs pass restore.WithoutBatchCache per query.
 func fastpathSystem(t *testing.T, opts restore.Options) *restore.System {
 	t.Helper()
 	cfg := restore.DefaultConfig()
@@ -65,7 +65,7 @@ func diffFS(t *testing.T, label string, cached, plain map[string]string) {
 // equality is between genuinely different code paths.
 func TestBatchCacheDifferentialPigMix(t *testing.T) {
 	cached := fastpathSystem(t, restore.Options{})
-	plain := fastpathSystem(t, restore.Options{DisableBatchCache: true})
+	plain := fastpathSystem(t, restore.Options{})
 	ctx := context.Background()
 
 	for _, name := range pigmix.Names() {
@@ -78,7 +78,7 @@ func TestBatchCacheDifferentialPigMix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s run %d cached: %v", name, run, err)
 			}
-			rp, err := plain.ExecuteContext(ctx, q.Script, restore.WithWorkers(1))
+			rp, err := plain.ExecuteContext(ctx, q.Script, restore.WithWorkers(1), restore.WithoutBatchCache())
 			if err != nil {
 				t.Fatalf("%s run %d uncached: %v", name, run, err)
 			}
@@ -105,10 +105,8 @@ func TestBatchCacheDifferentialPigMix(t *testing.T) {
 // driver's RunContextOpts plumbing under reuse.
 func TestBatchCacheDifferentialReuse(t *testing.T) {
 	opts := restore.Options{Reuse: true, KeepWholeJobs: true, Heuristic: restore.Aggressive}
-	plainOpts := opts
-	plainOpts.DisableBatchCache = true
 	cached := fastpathSystem(t, opts)
-	plain := fastpathSystem(t, plainOpts)
+	plain := fastpathSystem(t, opts)
 	ctx := context.Background()
 
 	for _, name := range []string{"L2", "L3"} {
@@ -121,7 +119,7 @@ func TestBatchCacheDifferentialReuse(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s run %d cached: %v", name, run, err)
 			}
-			rp, err := plain.ExecuteContext(ctx, q.Script, restore.WithWorkers(1))
+			rp, err := plain.ExecuteContext(ctx, q.Script, restore.WithWorkers(1), restore.WithoutBatchCache())
 			if err != nil {
 				t.Fatalf("%s run %d uncached: %v", name, run, err)
 			}

@@ -83,21 +83,16 @@ type ExecConfig struct {
 	// is a nil-receiver no-op), so traced and untraced executions are
 	// SimTime- and byte-identical.
 	Trace *obs.Trace
+
+	// LinearScan makes the matcher visit the repository by the paper's
+	// sequential scan instead of the signature index, and
+	// DisableBatchCache makes every job bypass the engine's
+	// decoded-dataset cache. Neither changes an answer, a reuse
+	// decision or a simulated time: they are the reference paths the
+	// matcher and fast-path differential tests compare against.
+	LinearScan        bool
+	DisableBatchCache bool
 }
-
-// ClaimFallback selects what an execution does when a claim it was
-// waiting on is aborted: the winner failed, was cancelled, or had its
-// output rejected by the sub-job selector.
-type ClaimFallback int
-
-const (
-	// ClaimRetry (the default): contend for the claim again — the next
-	// winner materializes, everyone else keeps sharing.
-	ClaimRetry ClaimFallback = iota
-	// ClaimIndependent: give up on sharing that sub-job and materialize
-	// it privately, like the pre-claim behaviour.
-	ClaimIndependent
-)
 
 // Options configure a Driver. The two independent switches mirror the
 // paper's experiments: Reuse turns the plan matcher and rewriter on, and
@@ -127,34 +122,6 @@ type Options struct {
 	// whenever ReStore stores anything, since repository entries may
 	// reference those files.
 	DeleteTemps bool
-	// DisableClaims opts this execution out of the cross-query claim
-	// protocol: sub-jobs are materialized privately even when a
-	// concurrent query is materializing the same plan (the pre-claim
-	// behaviour). Claims are otherwise on whenever the configuration
-	// stores anything.
-	DisableClaims bool
-	// ClaimFallback selects the behaviour when a claim this execution
-	// waited on is aborted (default: contend for it again).
-	ClaimFallback ClaimFallback
-	// LinearMatch makes this execution's matcher visit the repository
-	// by the paper's sequential scan instead of the signature index.
-	// Both modes choose identical entries (differential-tested); the
-	// flag exists for that suite, the matcher-scaling experiment, and
-	// as an escape hatch. Default off: matching is indexed.
-	LinearMatch bool
-	// DisableBatchCache makes this execution's jobs bypass the engine's
-	// decoded-dataset cache: inputs decode from the DFS and outputs are
-	// not written through. Outputs and simulated times are identical
-	// either way (differential-tested); the flag exists for that suite
-	// and as a per-query escape hatch.
-	DisableBatchCache bool
-	// DisableTrace opts this execution out of per-query span tracing:
-	// the query handle carries no Trace and every recording call on the
-	// execution path no-ops. Latency histograms still record. Traced
-	// and untraced runs are SimTime- and DFS-byte-identical
-	// (differential-tested); the flag exists for that suite and for
-	// callers that want the last few allocations back.
-	DisableTrace bool
 	// TraceTasks additionally records a span per task-completion
 	// callback under each job.exec span. Off by default: a large job
 	// has thousands of tasks and the per-task spans dominate the
@@ -386,7 +353,7 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 		return obs.NoSpan
 	}
 
-	rewriter := &Rewriter{Repo: repo, FS: eng.FS(), LinearScan: opts.LinearMatch, Trace: tr, Metrics: d.Metrics}
+	rewriter := &Rewriter{Repo: repo, FS: eng.FS(), LinearScan: cfg.LinearScan, Trace: tr, Metrics: d.Metrics}
 	// Incremental maintenance: when the matcher's only candidate is a
 	// stale-but-mergeable entry whose inputs merely grew, refresh it
 	// from the appended slice instead of recomputing cold. The hook
@@ -402,7 +369,7 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 	rewriter.Refresher = func(cand RefreshCandidate) *Entry {
 		refreshSpan := tr.Start(jobSpanOf(cand.Job.ID), obs.KindRefresh, cand.Match.Entry.ID)
 		refreshStart := time.Now()
-		e, spent := d.refreshEntry(ctx, eng, repo, store, opts, queryID, cand, tr, refreshSpan)
+		e, spent := d.refreshEntry(ctx, eng, repo, store, cfg.DisableBatchCache, queryID, cand, tr, refreshSpan)
 		d.Metrics.ObserveRefresh(time.Since(refreshStart))
 		tr.Sim(refreshSpan, spent)
 		if e == nil {
@@ -495,10 +462,9 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 	var wfMu sync.Mutex
 
 	// claimsOn: every execution that stores participates in the claim
-	// protocol unless it opted out. With claims on, a sub-job another
-	// query is currently materializing is waited for and reused instead
-	// of materialized twice.
-	claimsOn := store != nil && opts.storesAnything() && !opts.DisableClaims
+	// protocol: a sub-job another query is currently materializing is
+	// waited for and reused instead of materialized twice.
+	claimsOn := store != nil && opts.storesAnything()
 	// maxClaimAttempts bounds the rewrite/claim loop: each iteration
 	// either wins every needed claim, absorbs a freshly committed entry,
 	// or retries an aborted claim. The bound only matters under
@@ -529,10 +495,6 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 			}
 			held = map[string]*Claim{}
 		}
-		// independent marks fingerprints this job materializes without a
-		// claim (the ClaimIndependent fallback after a winner aborted).
-		independent := map[string]bool{}
-
 		var existing []Candidate      // zero-cost candidates of the final plan
 		var targets []*physical.Op    // injectable targets of the final plan
 		var injectable []*physical.Op // targets this job actually materializes
@@ -623,7 +585,7 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 			acqSpan := tr.Start(jobSpan, obs.KindClaimAcquire, job.ID)
 			var waitOn *Claim
 			for _, fp := range order {
-				if held[fp] != nil || independent[fp] {
+				if held[fp] != nil {
 					continue
 				}
 				if c, won := store.TryClaim(fp, queryID); won {
@@ -642,11 +604,10 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 				break
 			}
 			if attempt >= maxClaimAttempts {
-				// Stop contending: materialize only what this job holds
-				// or was told to take independently.
+				// Stop contending: materialize only what this job holds.
 				injectable = injectable[:0]
 				for _, op := range targets {
-					if fp := targetFP[op.ID]; held[fp] != nil || independent[fp] {
+					if held[targetFP[op.ID]] != nil {
 						injectable = append(injectable, op)
 					}
 				}
@@ -666,16 +627,13 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 			}
 			waitSpan := tr.Start(jobSpan, obs.KindClaimWait, waitOn.Fingerprint())
 			waitStart := time.Now()
-			entry, err := store.WaitShared(ctx, waitOn)
+			_, err := store.WaitShared(ctx, waitOn)
 			d.Metrics.ObserveClaimWait(time.Since(waitStart))
 			tr.End(waitSpan)
 			if err != nil {
 				abortHeld()
 				notify(job.ID, JobCanceled)
 				return fmt.Errorf("core: executing %s/%s: %w", queryID, job.ID, err)
-			}
-			if entry == nil && opts.ClaimFallback == ClaimIndependent {
-				independent[waitOn.Fingerprint()] = true
 			}
 			// Re-rewrite: a committed entry is absorbed by the matcher
 			// (or skipped by Choose); an aborted one is contended again.
@@ -702,7 +660,7 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 		}
 		stats, err := eng.RunContextOpts(ctx, job, mapreduce.RunOptions{
 			Progress:          onProgress,
-			DisableBatchCache: opts.DisableBatchCache,
+			DisableBatchCache: cfg.DisableBatchCache,
 		})
 		tr.End(execSpan)
 		if err != nil {

@@ -359,30 +359,6 @@ func TestAdmitOnlyReducing(t *testing.T) {
 	}
 }
 
-func TestRepositoryPersistence(t *testing.T) {
-	h := newHarness(t, Options{KeepWholeJobs: true, Heuristic: Aggressive})
-	h.seedPigMixSmall(t)
-	h.run(t, hq1)
-	if err := h.repo.Save(h.fs, "restore/repo.gob"); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := LoadRepository(h.fs, "restore/repo.gob")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if loaded.Len() != h.repo.Len() {
-		t.Fatalf("loaded %d entries, want %d", loaded.Len(), h.repo.Len())
-	}
-	// The loaded repository must be usable for matching: rerun hq1 with
-	// a fresh driver around the loaded repo.
-	d2 := NewDriver(h.eng, loaded, Options{Reuse: true})
-	h.driver = d2
-	r := h.run(t, hq1)
-	if len(r.Rewrites) == 0 {
-		t.Errorf("loaded repository produced no rewrites")
-	}
-}
-
 func TestRepositoryOrderingWholeJobFirst(t *testing.T) {
 	// With both the whole join job and its projection sub-jobs stored by
 	// a run of Q1, Q2's intermediate join job must match the subsuming

@@ -16,8 +16,7 @@ import (
 
 // This file is the repository's durability subsystem: a crash-safe
 // manifest + append-only event log on the DFS, replacing "the
-// repository is process memory, Save is a full rewrite" with storage
-// the paper assumes — a persistent store that survives restarts and is
+// repository is process memory" with storage the paper assumes — a persistent store that survives restarts and is
 // shared by every serving process on the same DFS.
 //
 //   - Every repository mutation (Insert, replacement, Remove, Evict,

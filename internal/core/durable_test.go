@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -356,78 +355,6 @@ func TestDurableLazyPlanDecode(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotGolden pins the legacy Save/LoadRepository format:
-// a snapshot generated by an earlier build (checked in as a golden
-// file) must keep loading byte-for-byte — entry identity, statistics,
-// ordering and matchability included — no matter how the in-memory
-// representation evolves.
-func TestLegacySnapshotGolden(t *testing.T) {
-	data, err := os.ReadFile("testdata/repo_legacy_v1.gob")
-	if err != nil {
-		t.Fatalf("golden fixture: %v", err)
-	}
-	fs := newTestFS(t)
-	if err := fs.WriteFile("meta/repo", data); err != nil {
-		t.Fatal(err)
-	}
-	repo, err := LoadRepository(fs, "meta/repo")
-	if err != nil {
-		t.Fatalf("LoadRepository on the golden snapshot: %v", err)
-	}
-	entries := repo.Entries()
-	if len(entries) != 3 {
-		t.Fatalf("golden snapshot loaded %d entries, want 3", len(entries))
-	}
-	byID := map[string]*Entry{}
-	for _, e := range entries {
-		byID[e.ID] = e
-	}
-	e1 := byID["e1"]
-	if e1 == nil || e1.OutputPath != "stored/g0" || !e1.WholeJob {
-		t.Fatalf("entry e1 = %+v, want whole-job stored/g0", e1)
-	}
-	if e1.Stats.InputSimBytes != 1000 || e1.Stats.OutputSimBytes != 100 {
-		t.Fatalf("e1 stats = %+v", e1.Stats)
-	}
-	if byID["e2"] == nil || byID["e2"].OutputPath != "stored/g1" || byID["e3"] == nil {
-		t.Fatalf("entries e2/e3 missing or misdecoded: %v", byID)
-	}
-
-	// The loaded plans still match: the projection entry is contained
-	// in a probing job extending it.
-	probe := firstJobSig(t, `
-A = load 'page_views' as (user, timestamp, est_revenue, page_info, page_links);
-B = foreach A generate user, est_revenue;
-C = distinct B;
-store C into 'golden_probe';
-`)
-	found := false
-	repo.Probe(probe, func(e *Entry) bool {
-		if e.ID == "e1" {
-			found = true
-		}
-		return true
-	})
-	if !found {
-		t.Fatal("golden entry e1 not nominated for a plan that contains it")
-	}
-	if _, ok := Match(e1.planSig(), probe); !ok {
-		t.Fatal("golden entry e1 no longer matches a containing plan")
-	}
-
-	// Round trip: a re-save of the loaded repository stays loadable.
-	if err := repo.Save(fs, "meta/repo2"); err != nil {
-		t.Fatal(err)
-	}
-	again, err := LoadRepository(fs, "meta/repo2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repoState(again) != repoState(repo) {
-		t.Fatal("save/load round trip diverged from the golden state")
-	}
-}
-
 // TestDurableLaggingWriterSkipsTrimmedSlots: a writer that fell behind
 // a peer's compaction must not append into trimmed sequence slots —
 // records there sit below the fold horizon where no replay ever looks,
@@ -468,5 +395,48 @@ func TestDurableLaggingWriterSkipsTrimmedSlots(t *testing.T) {
 	}
 	if recovered.lookupFP(e.fingerprint()) == nil {
 		t.Fatal("recovery lost the lagging writer's insert")
+	}
+}
+
+// TestRecoverRebuildsIndex: a repository recovered from the durable
+// journal has a coherent signature index and nominates exactly the
+// candidates the live repository does.
+func TestRecoverRebuildsIndex(t *testing.T) {
+	fs := newTestFS(t)
+	_, repo := openDurable(t, fs, "sys/repo")
+	for i, src := range indexCorpus {
+		repo.Insert(durableEntry(t, fs, src, i))
+	}
+	_, recovered := openDurable(t, fs, "sys/repo")
+	checkIndexCoherent(t, recovered)
+
+	job := compileJobs(t, q2, "tmp/rri").Jobs[0]
+	want := collectProbe(repo, job)
+	got := collectProbe(recovered, job)
+	if len(want) == 0 {
+		t.Fatal("live repository nominates nothing; premise broken")
+	}
+	if fmt.Sprint(want) != fmt.Sprint(got) {
+		t.Errorf("probe after recovery = %v, want %v", got, want)
+	}
+}
+
+// TestRepositoryPersistence: the entries a driver stores through a
+// durable repository survive recovery, and the recovered repository
+// drives rewrites for a fresh driver.
+func TestRepositoryPersistence(t *testing.T) {
+	h := newHarness(t, Options{KeepWholeJobs: true, Heuristic: Aggressive})
+	_, h.repo = openDurable(t, h.fs, "sys/repo")
+	h.driver = NewDriver(h.eng, h.repo, h.driver.Opts)
+	h.seedPigMixSmall(t)
+	h.run(t, hq1)
+
+	_, recovered := openDurable(t, h.fs, "sys/repo")
+	if recovered.Len() == 0 || recovered.Len() != h.repo.Len() {
+		t.Fatalf("recovered %d entries, want %d", recovered.Len(), h.repo.Len())
+	}
+	h.driver = NewDriver(h.eng, recovered, Options{Reuse: true})
+	if r := h.run(t, hq1); len(r.Rewrites) == 0 {
+		t.Errorf("recovered repository produced no rewrites")
 	}
 }

@@ -493,28 +493,6 @@ func TestVacuumAndEvictKeepIndexCoherent(t *testing.T) {
 	}
 }
 
-// TestSaveLoadRebuildsIndex checks a persisted repository probes
-// identically after reload: the index is rebuilt from the entries.
-func TestSaveLoadRebuildsIndex(t *testing.T) {
-	fs := dfs.New()
-	repo := buildIndexCorpusRepo(t, fs)
-	if err := repo.Save(fs, "meta/repo"); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadRepository(fs, "meta/repo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkIndexCoherent(t, loaded)
-
-	job := compileJobs(t, q2, "tmp/slr").Jobs[0]
-	want := collectProbe(repo, job)
-	got := collectProbe(loaded, job)
-	if fmt.Sprint(want) != fmt.Sprint(got) {
-		t.Errorf("probe after reload = %v, want %v", got, want)
-	}
-}
-
 func collectProbe(repo *Repository, job *physical.Job) []string {
 	var ids []string
 	repo.Probe(SigOf(job.Plan), func(e *Entry) bool {

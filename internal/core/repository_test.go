@@ -316,6 +316,13 @@ store B into 'o%d';
 					OutputPath: fmt.Sprintf("stored/g%d/i%d", g, i),
 					Stats:      EntryStats{InputSimBytes: int64(100 + i), OutputSimBytes: 10},
 				}
+				// A real output keeps the entry valid, so the concurrent
+				// vacuums below cannot legitimately remove it between
+				// this insert and the lookup.
+				if err := fs.WriteFile(e.OutputPath+"/part-00000", []byte("x\n")); err != nil {
+					t.Error(err)
+					return
+				}
 				ins := repo.Insert(e)
 				repo.NoteReuse(ins, time.Duration(i))
 				if repo.Lookup(sigs[k]) == nil {
@@ -332,9 +339,10 @@ store B into 'o%d';
 		}(g)
 	}
 	wg.Wait()
-	// Vacuum drops everything (outputs never existed in fs), proving the
-	// index stayed coherent: no orphaned fingerprints.
-	repo.Vacuum(fs, time.Hour, 0)
+	// Vacuuming against an empty FS drops everything (no output exists
+	// there), proving the index stayed coherent: no orphaned
+	// fingerprints.
+	repo.Vacuum(dfs.New(), time.Hour, 0)
 	if repo.Len() != 0 {
 		t.Errorf("repository left %d entries with nonexistent outputs", repo.Len())
 	}

@@ -285,8 +285,8 @@ func (m *StorageManager) TryClaim(fp, owner string) (*Claim, bool) {
 // relayRemote resolves a claim whose fingerprint another process is
 // materializing: wait for the holder's lease to free (or expire), fold
 // its log records into the local repository, and commit the claim with
-// the entry it published — or abort, sending waiters back through their
-// fallback policy.
+// the entry it published — or abort, sending waiters back to contend
+// for it again.
 func (m *StorageManager) relayRemote(c *Claim) {
 	_ = m.leases.WaitFree(context.Background(), c.fp)
 	if m.durable != nil {
@@ -315,8 +315,7 @@ func (m *StorageManager) Commit(c *Claim, e *Entry) {
 
 // Abort resolves a won claim without an entry: the winner failed, was
 // cancelled, or its output was rejected by the sub-job selector.
-// Waiters wake and contend for the claim again (or proceed
-// independently, per their fallback policy).
+// Waiters wake and contend for the claim again.
 func (m *StorageManager) Abort(c *Claim) {
 	m.release(c)
 	close(c.done)

@@ -202,7 +202,7 @@ type RunOptions struct {
 	// DisableBatchCache bypasses the decoded-dataset cache for this run
 	// only: inputs are decoded from the DFS and outputs are not written
 	// through. Results are byte-identical either way; the flag exists
-	// for differential testing and per-query opt-out.
+	// for differential testing.
 	DisableBatchCache bool
 }
 

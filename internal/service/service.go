@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -389,16 +390,15 @@ func (sq *servedQuery) trace() *restore.TraceSnapshot {
 // alternatives: a Pig Latin script inline, or a PigMix query by name
 // resolved server-side.
 type submitRequest struct {
-	Session     string `json:"session,omitempty"`
-	Tenant      string `json:"tenant,omitempty"`
-	Script      string `json:"script,omitempty"`
-	Query       string `json:"query,omitempty"`
-	Tag         string `json:"tag,omitempty"`
-	Reuse       *bool  `json:"reuse,omitempty"`
-	WholeJobs   *bool  `json:"wholeJobs,omitempty"`
-	LinearMatch *bool  `json:"linearMatch,omitempty"`
-	Heuristic   string `json:"heuristic,omitempty"`
-	Workers     int    `json:"workers,omitempty"`
+	Session   string `json:"session,omitempty"`
+	Tenant    string `json:"tenant,omitempty"`
+	Script    string `json:"script,omitempty"`
+	Query     string `json:"query,omitempty"`
+	Tag       string `json:"tag,omitempty"`
+	Reuse     *bool  `json:"reuse,omitempty"`
+	WholeJobs *bool  `json:"wholeJobs,omitempty"`
+	Heuristic string `json:"heuristic,omitempty"`
+	Workers   int    `json:"workers,omitempty"`
 }
 
 // errorBody is every non-2xx JSON response.
@@ -416,6 +416,30 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
+}
+
+// maxBodyBytes caps every JSON request body. Bodies are untrusted: a
+// larger one is refused before it is decoded or reaches admission.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it answers 413 for an oversized body and 400 otherwise,
+// and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(data, v)
+	}
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, fmt.Errorf("bad %s body: %w", what, err))
+	return false
 }
 
 // Handler returns the server's HTTP API.
@@ -445,8 +469,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Tenant string `json:"tenant"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad session body: %w", err))
+	if !decodeBody(w, r, &req, "session") {
 		return
 	}
 	if req.Tenant == "" {
@@ -509,8 +532,7 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 // asynchronously once the fair-share scheduler admits it.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad submit body: %w", err))
+	if !decodeBody(w, r, &req, "submit") {
 		return
 	}
 	script := req.Script
@@ -524,6 +546,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if script == "" {
 		writeError(w, http.StatusBadRequest, errors.New("submit needs script or query"))
+		return
+	}
+	opts, err := s.execOptions(req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -580,7 +607,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.drain.Add(1)
 	s.mu.Unlock()
 
-	opts := s.execOptions(req, tenant)
+	opts = append(opts, restore.WithTenant(tenant))
 	go s.runQuery(ctx, sq, wtr, quota, opts)
 
 	writeJSON(w, http.StatusAccepted, map[string]string{
@@ -588,8 +615,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// execOptions folds the request's overrides over the server defaults.
-func (s *Server) execOptions(req submitRequest, tenant string) []restore.ExecOption {
+// execOptions folds the request's overrides over the server defaults;
+// it fails on an unknown heuristic name.
+func (s *Server) execOptions(req submitRequest) ([]restore.ExecOption, error) {
 	opts := s.cfg.DefaultOptions
 	if req.Reuse != nil {
 		opts.Reuse = *req.Reuse
@@ -597,18 +625,14 @@ func (s *Server) execOptions(req submitRequest, tenant string) []restore.ExecOpt
 	if req.WholeJobs != nil {
 		opts.KeepWholeJobs = *req.WholeJobs
 	}
-	if req.LinearMatch != nil {
-		opts.LinearMatch = *req.LinearMatch
-	}
 	if req.Heuristic != "" {
-		if h, err := core.ParseHeuristic(req.Heuristic); err == nil {
-			opts.Heuristic = h
+		h, err := core.ParseHeuristic(req.Heuristic)
+		if err != nil {
+			return nil, err
 		}
+		opts.Heuristic = h
 	}
-	out := []restore.ExecOption{
-		restore.WithOptions(opts),
-		restore.WithTenant(tenant),
-	}
+	out := []restore.ExecOption{restore.WithOptions(opts)}
 	if req.Tag != "" {
 		out = append(out, restore.WithTag(req.Tag))
 	}
@@ -619,7 +643,7 @@ func (s *Server) execOptions(req submitRequest, tenant string) []restore.ExecOpt
 	if workers > 0 {
 		out = append(out, restore.WithWorkers(workers))
 	}
-	return out
+	return out, nil
 }
 
 // runQuery carries one accepted query through admission, submission and
@@ -890,7 +914,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		IDOrTag string `json:"idOrTag"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.IDOrTag == "" {
+	if !decodeBody(w, r, &req, "cancel") {
+		return
+	}
+	if req.IDOrTag == "" {
 		writeError(w, http.StatusBadRequest, errors.New("cancel needs idOrTag"))
 		return
 	}

@@ -499,3 +499,50 @@ func TestSessionCloseCancelsQueries(t *testing.T) {
 		t.Fatalf("session-b query = %+v, want done", info)
 	}
 }
+
+// TestHTTPBadHeuristicRejected: a misspelt heuristic must not silently
+// fall back to the server default — it gets 400 and never reaches
+// admission, the engine or the submitted counters.
+func TestHTTPBadHeuristicRejected(t *testing.T) {
+	eng, srv, base, client := newFakeServer(t, Config{})
+	_, resp, data := submit(t, client, base, submitRequest{Tenant: "t", Script: "x", Heuristic: "agressive"})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad heuristic: status %d %s, want 400", resp.StatusCode, data)
+	}
+	if !strings.Contains(string(data), "agressive") {
+		t.Errorf("error body %s does not name the bad heuristic", data)
+	}
+	if st := srv.Stats(); st.Service.Submitted != 0 || len(st.Service.Tenants) != 0 {
+		t.Errorf("rejected submit was counted: %+v", st.Service.TenantCounters)
+	}
+	eng.mu.Lock()
+	defer eng.mu.Unlock()
+	if eng.n != 0 {
+		t.Errorf("engine saw %d submissions, want 0", eng.n)
+	}
+}
+
+// TestHTTPOversizedBodyRejected: request bodies are capped; a body over
+// maxBodyBytes gets 413 on every JSON endpoint and submits nothing.
+func TestHTTPOversizedBodyRejected(t *testing.T) {
+	eng, srv, base, client := newFakeServer(t, Config{})
+	huge := strings.Repeat("x", maxBodyBytes+1)
+	for path, body := range map[string]any{
+		"/sessions": map[string]string{"tenant": huge},
+		"/queries":  submitRequest{Tenant: "t", Script: huge},
+		"/cancel":   map[string]string{"idOrTag": huge},
+	} {
+		resp, data := postJSON(t, client, base+path, body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d-byte body: status %d %.200s, want 413", path, len(huge), resp.StatusCode, data)
+		}
+	}
+	if st := srv.Stats(); st.Service.Submitted != 0 || st.Service.SessionsCreated != 0 {
+		t.Errorf("oversized bodies were admitted: %+v", st.Service)
+	}
+	eng.mu.Lock()
+	defer eng.mu.Unlock()
+	if eng.n != 0 {
+		t.Errorf("engine saw %d submissions, want 0", eng.n)
+	}
+}

@@ -1,7 +1,7 @@
 // Package tuple defines the data model shared by every layer of the
 // system: dynamically typed values, tuples, bags, and schemas, together
-// with comparison, hashing, and the text/binary codecs used by the
-// MapReduce engine's load, store, and shuffle paths.
+// with comparison, hashing, the text codec and the columnar batches
+// used by the MapReduce engine's load, store, and shuffle paths.
 //
 // The model mirrors Pig's: a relation is a bag of tuples, a tuple is an
 // ordered list of fields, and a field is an int, a float, a string, a

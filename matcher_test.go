@@ -67,13 +67,15 @@ func seedMatcherData(t *testing.T, sys *System) {
 // summaries plus the outputs of the final states.
 func runMatcherWorkload(t *testing.T, linear bool) (sims []string, rewrites []string, outputs map[string][]Tuple, stats MatcherStats) {
 	t.Helper()
-	sys := newTestSystem(Options{
-		Reuse: true, KeepWholeJobs: true, Heuristic: Aggressive, LinearMatch: linear,
-	})
+	sys := newTestSystem(Options{Reuse: true, KeepWholeJobs: true, Heuristic: Aggressive})
 	seedMatcherData(t, sys)
+	execOpts := []ExecOption{WithWorkers(1)}
+	if linear {
+		execOpts = append(execOpts, withLinearScan())
+	}
 	outputs = map[string][]Tuple{}
 	for i, src := range matcherWorkload {
-		res, err := sys.ExecuteContext(nil, src, WithWorkers(1))
+		res, err := sys.ExecuteContext(nil, src, execOpts...)
 		if err != nil {
 			t.Fatalf("linear=%v run %d: %v", linear, i, err)
 		}

@@ -216,8 +216,19 @@ store S into 'counts';
 	}
 }
 
+// TestRepositoryPersistenceAPI: the durable journal is how a
+// repository outlives its System. A System that only stored is closed;
+// one recovered over the same DFS holds the same entries, and they
+// drive rewrites once reuse is on.
 func TestRepositoryPersistenceAPI(t *testing.T) {
-	sys := newTestSystem(Options{Heuristic: Aggressive, KeepWholeJobs: true})
+	fs := newTestFS(t)
+	cfg := DefaultConfig()
+	cfg.Options = Options{Heuristic: Aggressive, KeepWholeJobs: true}
+	cfg.Durability = DurabilityConfig{Enabled: true}
+	sys, err := Recover(cfg, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seedEvents(t, sys)
 	if _, err := sys.Execute(totalsScript); err != nil {
 		t.Fatal(err)
@@ -226,25 +237,24 @@ func TestRepositoryPersistenceAPI(t *testing.T) {
 	if n == 0 {
 		t.Fatal("nothing stored")
 	}
-	if err := sys.SaveRepository("restore/repo.gob"); err != nil {
-		t.Fatalf("SaveRepository: %v", err)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if err := sys.LoadRepository("restore/repo.gob"); err != nil {
-		t.Fatalf("LoadRepository: %v", err)
+
+	cfg.Options = Options{Reuse: true}
+	recovered, err := Recover(cfg, fs)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
 	}
-	if sys.Repository().Len() != n {
-		t.Errorf("loaded %d entries, want %d", sys.Repository().Len(), n)
+	defer recovered.Close()
+	if recovered.Repository().Len() != n {
+		t.Errorf("recovered %d entries, want %d", recovered.Repository().Len(), n)
 	}
-	// The reloaded repository must still drive rewrites.
-	sys.SetOptions(Options{Reuse: true})
-	res, err := sys.Execute(totalsScript)
+	res, err := recovered.Execute(totalsScript)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rewrites) == 0 {
-		t.Errorf("no rewrites from reloaded repository")
-	}
-	if err := sys.LoadRepository("missing"); err == nil {
-		t.Errorf("loading a missing repository should error")
+		t.Errorf("no rewrites from recovered repository")
 	}
 }

@@ -162,10 +162,8 @@ func TestWholeJobReuseNoExecSpan(t *testing.T) {
 // identical simulated times and leave byte-identical DFS state.
 func TestTracedUntracedDifferential(t *testing.T) {
 	opts := restore.Options{Reuse: true, KeepWholeJobs: true, Heuristic: restore.Aggressive}
-	untracedOpts := opts
-	untracedOpts.DisableTrace = true
 	traced := fastpathSystem(t, opts)
-	untraced := fastpathSystem(t, untracedOpts)
+	untraced := fastpathSystem(t, opts)
 	ctx := context.Background()
 
 	for _, name := range pigmix.Names() {
@@ -178,7 +176,7 @@ func TestTracedUntracedDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s run %d traced: %v", name, run, err)
 			}
-			ru, err := untraced.ExecuteContext(ctx, q.Script, restore.WithWorkers(1))
+			ru, err := untraced.ExecuteContext(ctx, q.Script, restore.WithWorkers(1), restore.WithoutTrace())
 			if err != nil {
 				t.Fatalf("%s run %d untraced: %v", name, run, err)
 			}
@@ -196,13 +194,12 @@ func TestTracedUntracedDifferential(t *testing.T) {
 
 // TestDisableTraceNilSnapshot: opting out records nothing.
 func TestDisableTraceNilSnapshot(t *testing.T) {
-	cfg := restore.DefaultConfig()
-	cfg.Options = restore.Options{DisableTrace: true}
-	sys := restore.New(cfg)
+	sys := restore.New(restore.DefaultConfig())
 	if err := sys.WriteDataset("events", []tuple.Tuple{{"a", int64(1)}}); err != nil {
 		t.Fatal(err)
 	}
-	q, err := sys.Submit(context.Background(), "A = load 'events' as (u, n);\nstore A into 'out/x';")
+	q, err := sys.Submit(context.Background(), "A = load 'events' as (u, n);\nstore A into 'out/x';",
+		restore.WithoutTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
