@@ -102,7 +102,9 @@ func TestBatchCacheDifferentialPigMix(t *testing.T) {
 // TestBatchCacheDifferentialReuse repeats the check through the
 // repository-reuse path — warm runs that rewrite queries against
 // stored outputs must match with and without the cache, covering the
-// driver's RunContextOpts plumbing under reuse.
+// driver's RunContextOpts plumbing under reuse. Each query runs three
+// times: the second run is the first to load the stored outputs (a
+// read-through miss), the third reads them again from the cache.
 func TestBatchCacheDifferentialReuse(t *testing.T) {
 	opts := restore.Options{Reuse: true, KeepWholeJobs: true, Heuristic: restore.Aggressive}
 	cached := fastpathSystem(t, opts)
@@ -114,7 +116,7 @@ func TestBatchCacheDifferentialReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for run := 0; run < 2; run++ {
+		for run := 0; run < 3; run++ {
 			rc, err := cached.ExecuteContext(ctx, q.Script, restore.WithWorkers(1))
 			if err != nil {
 				t.Fatalf("%s run %d cached: %v", name, run, err)

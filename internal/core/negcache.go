@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/list"
 	"sync"
 	"sync/atomic"
 )
@@ -23,24 +24,18 @@ const DefaultNegCacheSize = 4096
 // and removal still invalidate eagerly so the bounded capacity is not
 // wasted on dead entries.
 //
-// The structure is an LRU over a doubly linked list; all methods are
+// The structure is an LRU over container/list; all methods are
 // nil-safe so a disabled cache costs one nil check.
 type negCache struct {
 	mu    sync.Mutex
 	cap   int
-	nodes map[negKey]*negNode
+	nodes map[negKey]*list.Element
 	// byEntry indexes keys by entry for O(keys-of-entry) invalidation.
 	byEntry map[*Entry]map[string]struct{}
-	// head is most recent, tail least; evictions pop the tail.
-	head, tail *negNode
+	lru     *list.List // front = most recently used; evictions pop the back
 
 	hits      atomic.Int64
 	evictions atomic.Int64
-}
-
-type negNode struct {
-	key        negKey
-	prev, next *negNode
 }
 
 func newNegCache(capacity int) *negCache {
@@ -49,8 +44,9 @@ func newNegCache(capacity int) *negCache {
 	}
 	return &negCache{
 		cap:     capacity,
-		nodes:   map[negKey]*negNode{},
+		nodes:   map[negKey]*list.Element{},
 		byEntry: map[*Entry]map[string]struct{}{},
+		lru:     list.New(),
 	}
 }
 
@@ -62,12 +58,11 @@ func (c *negCache) lookup(k negKey) bool {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := c.nodes[k]
-	if n == nil {
+	el := c.nodes[k]
+	if el == nil {
 		return false
 	}
-	c.unlink(n)
-	c.pushFront(n)
+	c.lru.MoveToFront(el)
 	c.hits.Add(1)
 	return true
 }
@@ -80,14 +75,11 @@ func (c *negCache) add(k negKey) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := c.nodes[k]; n != nil {
-		c.unlink(n)
-		c.pushFront(n)
+	if el := c.nodes[k]; el != nil {
+		c.lru.MoveToFront(el)
 		return
 	}
-	n := &negNode{key: k}
-	c.nodes[k] = n
-	c.pushFront(n)
+	c.nodes[k] = c.lru.PushFront(k)
 	fps := c.byEntry[k.entry]
 	if fps == nil {
 		fps = map[string]struct{}{}
@@ -95,8 +87,7 @@ func (c *negCache) add(k negKey) {
 	}
 	fps[k.jobFP] = struct{}{}
 	for len(c.nodes) > c.cap {
-		victim := c.tail
-		c.removeLocked(victim.key)
+		c.removeLocked(c.lru.Back().Value.(negKey))
 		c.evictions.Add(1)
 	}
 }
@@ -116,42 +107,17 @@ func (c *negCache) invalidate(e *Entry) {
 
 // removeLocked unlinks and deletes one key (mu held).
 func (c *negCache) removeLocked(k negKey) {
-	n := c.nodes[k]
-	if n == nil {
+	el := c.nodes[k]
+	if el == nil {
 		return
 	}
-	c.unlink(n)
+	c.lru.Remove(el)
 	delete(c.nodes, k)
 	if fps := c.byEntry[k.entry]; fps != nil {
 		delete(fps, k.jobFP)
 		if len(fps) == 0 {
 			delete(c.byEntry, k.entry)
 		}
-	}
-}
-
-func (c *negCache) unlink(n *negNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else if c.head == n {
-		c.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else if c.tail == n {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (c *negCache) pushFront(n *negNode) {
-	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
-	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
 	}
 }
 

@@ -90,7 +90,8 @@ func stampMergeable(fs dfs.Backend, e *Entry, plan *physical.Plan) {
 //
 // The refresh claims the entry's plan fingerprint when a storage
 // manager is attached, so two queries probing the same stale entry never run
-// the same delta twice; the loser goes cold (its own materialization
+// the same delta twice; a loser that finds the refresh already
+// committed reuses it, otherwise it goes cold (its own materialization
 // heuristics may still store a fresh copy, which replaces the entry
 // just like the refresh would).
 func (d *Driver) refreshEntry(ctx context.Context, eng *mapreduce.Engine, repo *Repository, store *StorageManager, noBatchCache bool, queryID string, cand RefreshCandidate, tr *obs.Trace, span obs.SpanID) (*Entry, time.Duration) {
@@ -106,6 +107,16 @@ func (d *Driver) refreshEntry(ctx context.Context, eng *mapreduce.Engine, repo *
 	if store != nil {
 		c, won := store.TryClaim(e.fingerprint(), queryID)
 		if !won {
+			// A concurrent query may already have refreshed the entry:
+			// TryClaim then resolved the claim with it, ready to reuse
+			// (replacement keeps the ID, so the match-time pin holds).
+			select {
+			case <-c.done:
+				if c.entry != nil && c.entry.ID == e.ID {
+					return c.entry, 0
+				}
+			default:
+			}
 			d.delta.failed.Add(1)
 			return nil, 0
 		}

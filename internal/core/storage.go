@@ -239,6 +239,14 @@ func (c *Claim) Wait(ctx context.Context) (*Entry, error) {
 // with the holder's committed entry (read from the shared log) exactly
 // as if a local winner had committed, or as an abort when the holder
 // released (or its lease expired) without a matching entry.
+//
+// A won claim is re-checked against the repository before it is
+// granted: a previous holder — a local query, or a peer process that
+// released its lease since our last log refresh — may have committed
+// the fingerprint after the caller's rewrite ran. If a valid entry
+// exists, the claim resolves with it at once and TryClaim reports a
+// loss, so the caller re-rewrites against the entry as a waiter would
+// instead of materializing it a second time.
 func (m *StorageManager) TryClaim(fp, owner string) (*Claim, bool) {
 	m.mu.Lock()
 	if c := m.claims[fp]; c != nil {
@@ -248,9 +256,10 @@ func (m *StorageManager) TryClaim(fp, owner string) (*Claim, bool) {
 	c := &Claim{fp: fp, owner: owner, done: make(chan struct{})}
 	m.claims[fp] = c
 	m.mu.Unlock()
+	var lease *Lease
 	if m.leases != nil {
-		lease, ok := m.leases.TryAcquire(fp)
-		if !ok {
+		var ok bool
+		if lease, ok = m.leases.TryAcquire(fp); !ok {
 			// Lost to another process: a relay goroutine watches the
 			// holder's lease and resolves this claim from the shared
 			// log when it frees.
@@ -258,20 +267,19 @@ func (m *StorageManager) TryClaim(fp, owner string) (*Claim, bool) {
 			go m.relayRemote(c)
 			return c, false
 		}
-		// Won — but a peer may have materialized this fingerprint and
-		// released its lease since our last refresh. Fold the log and
-		// re-check before claiming the right to materialize: if the
-		// entry already exists, resolve the claim with it immediately
-		// (the caller re-rewrites against it, as a lease waiter would).
-		if m.durable != nil {
-			m.durable.Refresh()
-			if e := m.repo.lookupFP(fp); e != nil && m.repo.Valid(e, m.fs) {
-				m.leases.Release(lease)
-				m.leaseShared.Add(1)
-				m.Commit(c, e)
-				return c, false
-			}
+	}
+	if m.durable != nil {
+		m.durable.Refresh()
+	}
+	if e := m.repo.lookupFP(fp); e != nil && m.repo.Valid(e, m.fs) {
+		if lease != nil {
+			m.leases.Release(lease)
+			m.leaseShared.Add(1)
 		}
+		m.Commit(c, e)
+		return c, false
+	}
+	if lease != nil {
 		c.lease = lease
 		// Heartbeat the lease while the materialization runs: a live
 		// holder slower than the TTL keeps its lease; a dead one stops

@@ -97,6 +97,86 @@ func TestClaimWaitRespectsContext(t *testing.T) {
 	m.Abort(c)
 }
 
+// TestTryClaimRechecksCommittedEntry is the claim race behind duplicate
+// materializations: a query whose rewrite ran before another query
+// committed a fingerprint's entry must not win a fresh claim on it.
+// TryClaim re-checks the repository and resolves the claim with the
+// committed entry instead; an invalidated entry is claimable again.
+func TestTryClaimRechecksCommittedEntry(t *testing.T) {
+	fs := newTestFS(t)
+	repo := NewRepository()
+	m := NewStorageManager(repo, fs, 0, nil)
+	e := storedEntry(t, repo, fs, "e1", "in", 10, EntryStats{})
+
+	c, won := m.TryClaim(e.fingerprint(), "late")
+	if won {
+		t.Fatal("TryClaim won a fingerprint whose entry is committed and valid")
+	}
+	got, err := m.WaitShared(context.Background(), c)
+	if err != nil || got != e {
+		t.Fatalf("claim resolved to %v (err %v), want the committed entry", got, err)
+	}
+	if st := m.Stats(); st.ClaimsGranted != 0 {
+		t.Errorf("ClaimsGranted = %d, want 0", st.ClaimsGranted)
+	}
+
+	// Moving an input's version invalidates the entry: the fingerprint
+	// must be claimable again (a delta refresh or a re-materialization).
+	if err := fs.WriteFile("in/part-00001", []byte("x\n")); err != nil {
+		t.Fatal(err)
+	}
+	c, won = m.TryClaim(e.fingerprint(), "refresher")
+	if !won {
+		t.Fatal("TryClaim lost a fingerprint whose entry is invalid")
+	}
+	m.Abort(c)
+}
+
+// TestRefreshLoserReusesCommittedRefresh covers the delta-refresh side
+// of the claim re-check: a query whose probe saw an entry stale goes
+// cold while another query's refresh of it is in flight, and reuses
+// the refreshed entry once that refresh has committed instead of
+// running the delta a second time.
+func TestRefreshLoserReusesCommittedRefresh(t *testing.T) {
+	h := newHarness(t, Options{Reuse: true})
+	store := NewStorageManager(h.repo, h.fs, 0, nil)
+	e := storedEntry(t, h.repo, h.fs, "e1", "in", 10, EntryStats{})
+	if err := h.fs.WriteFile("in/part-00001", []byte("x\n")); err != nil {
+		t.Fatal(err)
+	}
+	winner, won := store.TryClaim(e.fingerprint(), "refresher")
+	if !won {
+		t.Fatal("refresher lost the claim on a stale entry")
+	}
+	refresh := func(queryID string) *Entry {
+		got, spent := h.driver.refreshEntry(context.Background(), h.eng, h.repo, store, false, queryID,
+			RefreshCandidate{Match: &MatchResult{Entry: e}}, nil, 0)
+		if spent != 0 {
+			t.Errorf("%s: refresh spent %v, want 0", queryID, spent)
+		}
+		return got
+	}
+
+	if got := refresh("in-flight"); got != nil {
+		t.Fatalf("loser during an in-flight refresh got %v, want nil (cold)", got)
+	}
+
+	refreshed := entryFor(t, `
+A = load 'in' as (a, b);
+B = foreach A generate a;
+store B into 'o';
+`, "e1", EntryStats{})
+	refreshed.InputVersions = map[string]int64{"in": h.fs.Version("in")}
+	ne := h.repo.Insert(refreshed)
+	store.Commit(winner, ne)
+	if got := refresh("late"); got != ne {
+		t.Fatalf("loser after the refresh committed got %v, want the refreshed entry", got)
+	}
+	if d := h.driver.DeltaStats(); d.Failed != 1 || d.Refreshes != 0 {
+		t.Errorf("delta stats = %+v, want 1 failed and no refresh run", d)
+	}
+}
+
 func TestEvictionPolicies(t *testing.T) {
 	now := 10 * time.Hour
 	mk := func(id string, lastUse time.Duration, bytes int64, ratio float64, reused int) EntryUsage {

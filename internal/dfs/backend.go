@@ -30,12 +30,7 @@ import "io"
 // All methods are safe for concurrent use.
 type Backend interface {
 	// Create opens a new file for writing; Close commits it atomically
-	// and bumps its dataset version. The returned writer may implement
-	// interface{ CommittedVersion() int64 } exposing the dataset
-	// version its Close committed, captured atomically with the commit
-	// (both built-in backends do); callers that need a race-free
-	// post-write version should type-assert for it and fall back to
-	// Version(path).
+	// and bumps its dataset version.
 	Create(path string) io.WriteCloser
 	// WriteFile writes data to path in one call.
 	WriteFile(path string, data []byte) error

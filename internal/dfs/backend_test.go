@@ -19,36 +19,6 @@ func forEachBackend(t *testing.T, fn func(t *testing.T, fs Backend)) {
 	})
 }
 
-// TestCreateCommittedVersion checks both backends' Create writers
-// expose the dataset version their Close committed, captured inside
-// the commit's critical section: after an uncontended Close it equals
-// Version, and a later same-name rewrite moves Version past it.
-func TestCreateCommittedVersion(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, fs Backend) {
-		w := fs.Create("ds/part-00000")
-		if _, err := w.Write([]byte("a\n")); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		cv, ok := w.(interface{ CommittedVersion() int64 })
-		if !ok {
-			t.Fatal("Create writer does not expose CommittedVersion")
-		}
-		v := cv.CommittedVersion()
-		if v == 0 || v != fs.Version("ds") {
-			t.Fatalf("CommittedVersion = %d, Version = %d", v, fs.Version("ds"))
-		}
-		if err := fs.WriteFile("ds/part-00000", []byte("b\n")); err != nil {
-			t.Fatal(err)
-		}
-		if fs.Version("ds") <= v {
-			t.Fatalf("rewrite did not move Version past the commit: %d <= %d", fs.Version("ds"), v)
-		}
-	})
-}
-
 // TestRenameBumpsNestedDatasetVersions is the regression for the
 // nested-dataset rename bug: Rename bumped only the destination's own
 // dataset, so datasets nested under a renamed tree kept their old

@@ -100,7 +100,6 @@ type fileWriter struct {
 	fs   *FS
 	path string
 	buf  bytes.Buffer
-	ver  int64
 }
 
 func (w *fileWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
@@ -123,16 +122,8 @@ func (w *fileWriter) Close() error {
 	w.fs.bytesWritten.Add(int64(len(data)))
 	w.fs.accountLocked(w.path, int64(len(data)), 1)
 	w.fs.bumpLocked(datasetOf(w.path))
-	w.ver = w.fs.version[datasetOf(w.path)]
 	return faultErr
 }
-
-// CommittedVersion returns the dataset version this writer's Close
-// committed, captured inside Close's critical section — so it is
-// exactly the version of this write, with no window for a concurrent
-// writer's bump to slip in between commit and observation. Zero before
-// Close.
-func (w *fileWriter) CommittedVersion() int64 { return w.ver }
 
 // SetWriteFault installs (or, with nil, removes) a commit interceptor
 // for crash-injection tests: every file commit passes its bytes through

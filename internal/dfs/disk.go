@@ -529,7 +529,6 @@ type diskFileWriter struct {
 	d    *Disk
 	path string
 	buf  bytes.Buffer
-	ver  int64
 }
 
 func (w *diskFileWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
@@ -538,15 +537,9 @@ func (w *diskFileWriter) Close() error {
 	w.d.mu.Lock()
 	defer w.d.mu.Unlock()
 	err := w.d.commitLocked(w.path, append([]byte(nil), w.buf.Bytes()...), true)
-	w.ver = w.d.version[datasetOf(w.path)]
 	w.d.maybeRecompactLocked()
 	return err
 }
-
-// CommittedVersion returns the dataset version this writer's Close
-// committed, captured inside Close's critical section. Zero before
-// Close.
-func (w *diskFileWriter) CommittedVersion() int64 { return w.ver }
 
 // commitLocked is the single file-commit path (mu held): applies the
 // write fault when asked, stores content in the right class, bumps the

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dfs"
 	"repro/internal/tuple"
@@ -13,15 +12,17 @@ import (
 // the configuration leaves MaxCachedBatchBytes zero.
 const DefaultMaxCachedBatchBytes int64 = 256 << 20
 
-// BatchCache is the engine's decoded-dataset cache: each entry holds
-// one dataset's part files as columnar tuple.Batch vectors, keyed by
-// dataset path and stamped with the dataset's DFS version at decode
-// time. Invalidation rides the same version bumps that drive
+// BatchCache is the engine's read-through decoded-dataset cache: each
+// entry holds one dataset's part files as columnar tuple.Batch vectors,
+// keyed by dataset path and stamped with the dataset's DFS version at
+// decode time. Entries are filled only when a job reads a dataset (a
+// miss decodes it from the DFS), so the cache holds what jobs actually
+// load, and one query's decode feeds cache hits in every other query
+// of the System. Invalidation rides the same version bumps that drive
 // Repository.Valid — any write, delete, or rename under a dataset moves
 // its version, so a stale entry simply stops matching and is dropped on
 // its next lookup. The cache therefore works identically over the
-// in-memory and on-disk DFS backends, and write-through entries from
-// one query feed cache hits in every other query of the System.
+// in-memory and on-disk DFS backends.
 //
 // Entries are evicted least-recently-used under the byte budget (a
 // reuse refreshes recency, so hot repository outputs stay resident
@@ -39,12 +40,10 @@ type BatchCache struct {
 	inserts, evictions  int64
 	evictedBytes        int64
 	invalidations       int64
-	partRecs, partPlays atomic.Int64
 }
 
 // cachedDataset is one decoded dataset: its part files in fs.List
-// order, each as a columnar batch, plus any shuffle-partition
-// recordings made over it (see runMapTask).
+// order, each as a columnar batch.
 type cachedDataset struct {
 	path    string
 	version int64
@@ -52,9 +51,6 @@ type cachedDataset struct {
 	batches []*tuple.Batch
 	mem     int64 // sum of batch MemBytes
 	src     int64 // sum of batch SrcBytes (DFS reads saved per hit)
-
-	mu    sync.Mutex
-	parts map[string][]int32
 }
 
 // NewBatchCache returns a cache bounded to budget bytes of decoded
@@ -136,32 +132,8 @@ func (c *BatchCache) removeLocked(el *list.Element) {
 	c.used -= ds.mem
 }
 
-// partitions returns the recorded shuffle partition sequence for key
-// and whether one exists (an empty recording is a valid sequence).
-func (ds *cachedDataset) partitions(key string) ([]int32, bool) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	p, ok := ds.parts[key]
-	return p, ok
-}
-
-// storePartitions records a shuffle partition sequence; the first
-// recording for a key wins (all recorders compute identical sequences).
-func (ds *cachedDataset) storePartitions(key string, parts []int32) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if ds.parts == nil {
-		ds.parts = map[string][]int32{}
-	}
-	if _, ok := ds.parts[key]; !ok {
-		ds.parts[key] = parts
-	}
-}
-
 // BatchCacheStats is a point-in-time snapshot of the decoded-dataset
-// cache. HitBytes totals the DFS bytes hits avoided re-reading;
-// PartitionReplays counts map tasks that skipped re-partitioning by
-// replaying a recorded shuffle placement.
+// cache. HitBytes totals the DFS bytes hits avoided re-reading.
 type BatchCacheStats struct {
 	Entries     int
 	UsedBytes   int64
@@ -176,9 +148,6 @@ type BatchCacheStats struct {
 	Evictions     int64
 	EvictedBytes  int64
 	Invalidations int64
-
-	PartitionRecords int64
-	PartitionReplays int64
 }
 
 // HitRatio is Hits over all lookups (0 before any lookup).
@@ -198,18 +167,16 @@ func (c *BatchCache) Stats() BatchCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return BatchCacheStats{
-		Entries:          len(c.entries),
-		UsedBytes:        c.used,
-		BudgetBytes:      c.budget,
-		Hits:             c.hits,
-		Misses:           c.misses,
-		HitBytes:         c.hitBytes,
-		MissBytes:        c.missBytes,
-		Inserts:          c.inserts,
-		Evictions:        c.evictions,
-		EvictedBytes:     c.evictedBytes,
-		Invalidations:    c.invalidations,
-		PartitionRecords: c.partRecs.Load(),
-		PartitionReplays: c.partPlays.Load(),
+		Entries:       len(c.entries),
+		UsedBytes:     c.used,
+		BudgetBytes:   c.budget,
+		Hits:          c.hits,
+		Misses:        c.misses,
+		HitBytes:      c.hitBytes,
+		MissBytes:     c.missBytes,
+		Inserts:       c.inserts,
+		Evictions:     c.evictions,
+		EvictedBytes:  c.evictedBytes,
+		Invalidations: c.invalidations,
 	}
 }

@@ -142,8 +142,8 @@ store C into 'out';
 `
 
 // TestEngineCacheWarmRunsIdentical runs one job cold then warm and
-// checks the warm run hits the cache, replays partitions, and writes
-// byte-identical output with identical simulated time.
+// checks the warm run hits the cache and writes byte-identical output
+// with identical simulated time.
 func TestEngineCacheWarmRunsIdentical(t *testing.T) {
 	fs := dfs.New()
 	seedInput(t, fs, "in", 200, 0)
@@ -180,9 +180,6 @@ func TestEngineCacheWarmRunsIdentical(t *testing.T) {
 	if ws.Hits == 0 {
 		t.Fatalf("warm run missed the cache: %+v", ws)
 	}
-	if ws.PartitionReplays == 0 {
-		t.Fatalf("warm run did not replay partitions: %+v", ws)
-	}
 	if cold.SimTime != warm.SimTime {
 		t.Fatalf("SimTime diverged: cold %v, warm %v", cold.SimTime, warm.SimTime)
 	}
@@ -196,9 +193,10 @@ func TestEngineCacheWarmRunsIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineCacheWriteThrough checks a job's own output feeds the next
-// job's input without a decode miss.
-func TestEngineCacheWriteThrough(t *testing.T) {
+// TestEngineCacheReadThrough checks the cache fills only on reads: a
+// job's own output is not inserted when written, the first job that
+// loads it misses and decodes it, and the next load hits.
+func TestEngineCacheReadThrough(t *testing.T) {
 	fs := dfs.New()
 	seedInput(t, fs, "in", 100, 0)
 	eng := New(fs, DefaultConfig())
@@ -206,68 +204,28 @@ func TestEngineCacheWriteThrough(t *testing.T) {
 	if _, err := eng.Run(first[0]); err != nil {
 		t.Fatal(err)
 	}
-	before := eng.CacheStats()
+	if st := eng.CacheStats(); st.Entries != 1 || st.Inserts != 1 {
+		t.Fatalf("writing 'out' should cache only the job's input: %+v", st)
+	}
 
 	second := compileScript(t, `
 X = load 'out' as (user, cnt);
 Y = filter X by cnt > 1;
 store Y into 'out2';
 `)
+	before := eng.CacheStats()
 	if _, err := eng.Run(second[0]); err != nil {
 		t.Fatal(err)
 	}
-	after := eng.CacheStats()
-	if after.Hits != before.Hits+1 {
-		t.Fatalf("reading a just-written dataset should hit write-through: before %+v after %+v", before, after)
+	miss := eng.CacheStats()
+	if miss.Misses != before.Misses+1 || miss.Hits != before.Hits || miss.Inserts != before.Inserts+1 {
+		t.Fatalf("first read of a just-written dataset should miss and fill: before %+v after %+v", before, miss)
 	}
-	if after.Misses != before.Misses {
-		t.Fatalf("unexpected miss on write-through read: before %+v after %+v", before, after)
+	if _, err := eng.Run(second[0]); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestWriteThroughStaleVersionSkipped loses the write-through race on
-// purpose: a concurrent writer rewrites the same-named part file after
-// the job's write, so the file list still matches and only the dataset
-// version betrays the rewrite. The stale batches must not publish; a
-// part stamped with the current committed version must.
-func TestWriteThroughStaleVersionSkipped(t *testing.T) {
-	fs := dfs.New()
-	eng := New(fs, DefaultConfig())
-
-	write := func(data string) int64 {
-		w := fs.Create("wt/part-r-00000")
-		if _, err := w.Write([]byte(data)); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return w.(interface{ CommittedVersion() int64 }).CommittedVersion()
-	}
-	decode := func(data string) *tuple.Batch {
-		b, err := tuple.DecodeTextBatch([]byte(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-
-	ver := write("1\tone\n")
-	stale := writtenPart{dir: "wt", file: "wt/part-r-00000", batch: decode("1\tone\n"), ver: ver}
-	write("2\ttwo\n") // same-name rewrite between the job's write and writeThrough
-	eng.writeThrough(eng.cache, []writtenPart{stale})
-	if eng.cache.Get(fs, "wt") != nil {
-		t.Fatal("stale write-through entry published after same-name rewrite")
-	}
-
-	ver2 := write("3\tthree\n")
-	eng.writeThrough(eng.cache, []writtenPart{{dir: "wt", file: "wt/part-r-00000", batch: decode("3\tthree\n"), ver: ver2}})
-	ds := eng.cache.Get(fs, "wt")
-	if ds == nil {
-		t.Fatal("current write-through entry did not publish")
-	}
-	if got := ds.batches[0].Row(0); tuple.CompareTuples(got, tuple.Tuple{int64(3), "three"}) != 0 {
-		t.Fatalf("cached batch holds %v, want the last write's rows", got)
+	if hit := eng.CacheStats(); hit.Hits != miss.Hits+1 || hit.Misses != miss.Misses {
+		t.Fatalf("second read should hit: before %+v after %+v", miss, hit)
 	}
 }
 
@@ -296,7 +254,7 @@ func TestEngineCacheDisabledRun(t *testing.T) {
 }
 
 // TestBatchCacheConcurrentChurn races engine runs against input
-// rewrites, direct cache traffic, and partition recordings. Run under
+// rewrites and direct cache traffic. Run under
 // -race it is the cache's concurrency proof; the invariant checked is
 // that a final quiescent run still produces the fresh-decode output.
 func TestBatchCacheConcurrentChurn(t *testing.T) {
@@ -380,5 +338,27 @@ store C into 'churnout%d';
 				t.Fatalf("dataset %d: churned output diverges from fresh decode at %s", d, f)
 			}
 		}
+	}
+}
+
+// clearedFS reports every path as existing, so the engine's output
+// clearing meets a path a concurrent run already deleted.
+type clearedFS struct{ dfs.Backend }
+
+func (clearedFS) Exists(string) bool { return true }
+
+// TestRunToleratesConcurrentlyClearedOutput is the output-clearing race
+// TestBatchCacheConcurrentChurn hit: two runs of one job both see the
+// output exist, one deletes it, and the other's delete must not fail
+// the job.
+func TestRunToleratesConcurrentlyClearedOutput(t *testing.T) {
+	fs := dfs.New()
+	seedInput(t, fs, "in", 20, 0)
+	eng := New(clearedFS{fs}, DefaultConfig())
+	if _, err := eng.Run(compileScript(t, cacheScript)[0]); err != nil {
+		t.Fatalf("run over an already-cleared output: %v", err)
+	}
+	if len(fs.List("out")) == 0 {
+		t.Fatal("job wrote no output")
 	}
 }

@@ -10,10 +10,10 @@ package mapreduce
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -200,9 +200,9 @@ type RunOptions struct {
 	// Progress, when non-nil, observes task completions (see Progress).
 	Progress Progress
 	// DisableBatchCache bypasses the decoded-dataset cache for this run
-	// only: inputs are decoded from the DFS and outputs are not written
-	// through. Results are byte-identical either way; the flag exists
-	// for differential testing.
+	// only: inputs are decoded from the DFS without consulting or
+	// filling the cache. Results are byte-identical either way; the
+	// flag exists for differential testing.
 	DisableBatchCache bool
 }
 
@@ -234,7 +234,9 @@ func (e *Engine) RunContextOpts(ctx context.Context, job *physical.Job, opts Run
 	// so clearing is safe even when a job overwrites its own input.
 	for _, op := range job.Plan.Ops() {
 		if op.Kind == physical.KStore && e.fs.Exists(op.Path) {
-			if err := e.fs.Delete(op.Path); err != nil {
+			// A concurrent run writing the same output may clear it
+			// between the check and the delete; either way it is gone.
+			if err := e.fs.Delete(op.Path); err != nil && !errors.Is(err, dfs.ErrNotExist) {
 				return nil, fmt.Errorf("mapreduce: clearing output %s: %w", op.Path, err)
 			}
 		}
@@ -254,12 +256,7 @@ func (e *Engine) RunContextOpts(ctx context.Context, job *physical.Job, opts Run
 		tracker = &progressTracker{fn: progress, total: len(splits) + numRed}
 	}
 
-	var shufSig string
-	if seg.shuffle != nil && cache != nil {
-		shufSig = mapSegmentSig(seg, numRed)
-	}
-
-	mapResults, err := e.runMapPhase(ctx, job, seg, splits, numRed, stats, tracker, shufSig, cache)
+	mapResults, err := e.runMapPhase(ctx, job, seg, splits, numRed, stats, tracker)
 	if err != nil {
 		return nil, err
 	}
@@ -267,21 +264,11 @@ func (e *Engine) RunContextOpts(ctx context.Context, job *physical.Job, opts Run
 	for _, mr := range mapResults {
 		mapTimes = append(mapTimes, e.cfg.Cost.TaskTime(mr.work))
 	}
-	var redWrites []writtenPart
 	if seg.shuffle != nil {
-		redTimes, redWrites, err = e.runReducePhase(ctx, job, seg, mapResults, numRed, stats, tracker, cache != nil)
+		redTimes, err = e.runReducePhase(ctx, job, seg, mapResults, numRed, stats, tracker)
 		if err != nil {
 			return nil, err
 		}
-	}
-
-	if cache != nil {
-		var written []writtenPart
-		for i := range mapResults {
-			written = append(written, mapResults[i].writes...)
-		}
-		written = append(written, redWrites...)
-		e.writeThrough(cache, written)
 	}
 
 	stats.MapTasks = len(mapResults)
@@ -386,13 +373,9 @@ func segments(p *physical.Plan) (*segmentation, error) {
 // file's columnar batch.
 type split struct {
 	loadID int
-	file   string
 	batch  *tuple.Batch
 	lo, hi int
 	bytes  int64 // actual bytes attributed to this slice
-	// ds is the cache entry the batch belongs to (nil when the run
-	// bypasses the cache); it carries shuffle partition recordings.
-	ds *cachedDataset
 }
 
 // loadDataset decodes every part file of the dataset at path into
@@ -458,10 +441,9 @@ func (e *Engine) makeSplits(p *physical.Plan, cache *BatchCache) ([]split, error
 		if op.Kind != physical.KLoad {
 			continue
 		}
-		restricted := op.Files != nil
 		var ds *cachedDataset
 		var err error
-		if restricted {
+		if op.Files != nil {
 			ds, err = e.loadFiles(op.Path, op.Files, cache)
 		} else {
 			ds, err = e.loadDataset(op.Path, cache)
@@ -469,7 +451,7 @@ func (e *Engine) makeSplits(p *physical.Plan, cache *BatchCache) ([]split, error
 		if err != nil {
 			return nil, err
 		}
-		for fi, b := range ds.batches {
+		for _, b := range ds.batches {
 			actualBytes := b.SrcBytes()
 			nrows := b.Len()
 			simBytes := int64(float64(actualBytes) * e.cfg.SimScale)
@@ -491,13 +473,7 @@ func (e *Engine) makeSplits(p *physical.Plan, cache *BatchCache) ([]split, error
 					j = nrows
 				}
 				chunkBytes := actualBytes * int64(j-i) / int64(nrows)
-				sp := split{loadID: op.ID, file: ds.files[fi], batch: b, lo: i, hi: j, bytes: chunkBytes}
-				if cache != nil && !restricted {
-					// Restricted views are ad-hoc datasets; they carry
-					// no shuffle-partition recordings.
-					sp.ds = ds
-				}
-				out = append(out, sp)
+				out = append(out, split{loadID: op.ID, batch: b, lo: i, hi: j, bytes: chunkBytes})
 			}
 		}
 	}
@@ -557,80 +533,6 @@ func (e *Engine) loadFiles(path string, files []string, cache *BatchCache) (*cac
 	return ds, nil
 }
 
-// mapSegmentSig fingerprints the map segment's structure — every
-// map-side op's identity, signature, and wiring, plus the reducer
-// count. Two runs with equal signatures over the same split emit the
-// same keyed sequence, which is what makes shuffle partition replay
-// sound (see partitioner).
-func mapSegmentSig(seg *segmentation, numRed int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "R%d", numRed)
-	for _, op := range seg.plan.Ops() {
-		if !seg.inMap[op.ID] {
-			continue
-		}
-		fmt.Fprintf(&b, ";%d:%s<-%v", op.ID, op.Signature(), op.InputIDs)
-	}
-	return b.String()
-}
-
-// writeThrough populates the cache with the datasets a finished job
-// just wrote. Parts are grouped per Store directory and sorted by file
-// name — the same lexicographic order fs.List returns — and stamped
-// with the version the job's own last write to the directory committed
-// (captured atomically with each part's commit, see exec.close), so
-// the entry is exactly what a fresh decode of the dataset would
-// produce. Stamping the job's own committed version, not a re-read of
-// fs.Version, is what makes a lost race detectable: if a concurrent
-// writer rewrote same-named part files after this job's writes, the
-// directory version has moved past the stamp and the guard below skips
-// the insert instead of caching this job's stale batches under the
-// rewriter's newer version.
-func (e *Engine) writeThrough(cache *BatchCache, parts []writtenPart) {
-	byDir := map[string][]writtenPart{}
-	for _, wp := range parts {
-		byDir[wp.dir] = append(byDir[wp.dir], wp)
-	}
-	for dir, ps := range byDir {
-		sort.Slice(ps, func(i, j int) bool { return ps[i].file < ps[j].file })
-		ds := &cachedDataset{path: dir}
-		for _, wp := range ps {
-			ds.files = append(ds.files, wp.file)
-			ds.batches = append(ds.batches, wp.batch)
-			ds.mem += wp.batch.MemBytes()
-			ds.src += wp.batch.SrcBytes()
-			if wp.ver > ds.version {
-				ds.version = wp.ver
-			}
-		}
-		// Publish only when the directory is still exactly as this job
-		// left it: its version is the one our own last part commit
-		// produced (any later write — including a same-name rewrite the
-		// List comparison cannot see — bumps it past the stamp), and its
-		// file list matches the captured parts (a dropped capture or an
-		// unrelated writer would otherwise cache an incomplete view).
-		if e.fs.Version(dir) != ds.version {
-			continue
-		}
-		if !equalStrings(ds.files, e.fs.List(dir)) {
-			continue
-		}
-		cache.Put(ds)
-	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // CacheStats snapshots the engine's decoded-dataset cache counters.
 func (e *Engine) CacheStats() BatchCacheStats { return e.cache.Stats() }
 
@@ -640,72 +542,14 @@ type mapResult struct {
 	work    cluster.TaskWork
 	outs    map[string]OutputStat
 	records int64
-	writes  []writtenPart // part files for cache write-through
 }
 
-// partitioner assigns shuffle partitions for one map task. On a warm
-// split from the cache it replays the partition sequence a previous
-// identical task recorded — skipping the per-record key hash — and
-// falls back to live hashing past the end of a recording, so replay is
-// an optimization, never a correctness dependency. Recordings key on
-// the map-segment signature plus the exact split, and live on the
-// cache entry, so a dataset version bump drops them with the batches.
-type partitioner struct {
-	numRed   int
-	ds       *cachedDataset
-	cache    *BatchCache
-	key      string
-	replay   []int32
-	ri       int
-	record   bool
-	recorded []int32
-	replayed bool
+// partition assigns a shuffle key to one of numRed reduce partitions.
+func partition(key tuple.Value, numRed int) int {
+	return int(tuple.Hash(key) % uint64(numRed))
 }
 
-func newPartitioner(sp split, shufSig string, numRed int, cache *BatchCache) *partitioner {
-	pt := &partitioner{numRed: numRed}
-	if numRed <= 0 || cache == nil || sp.ds == nil || shufSig == "" {
-		return pt
-	}
-	pt.ds = sp.ds
-	pt.cache = cache
-	pt.key = fmt.Sprintf("%s|%s|%d:%d", shufSig, sp.file, sp.lo, sp.hi)
-	var ok bool
-	pt.replay, ok = sp.ds.partitions(pt.key)
-	pt.record = !ok
-	return pt
-}
-
-func (pt *partitioner) next(key tuple.Value) int {
-	if pt.ri < len(pt.replay) {
-		p := int(pt.replay[pt.ri])
-		pt.ri++
-		pt.replayed = true
-		return p
-	}
-	p := int(tuple.Hash(key) % uint64(pt.numRed))
-	if pt.record {
-		pt.recorded = append(pt.recorded, int32(p))
-	}
-	return p
-}
-
-// finish publishes the recording after the task's emissions completed
-// without error.
-func (pt *partitioner) finish() {
-	if pt.record && pt.ds != nil {
-		if pt.recorded == nil {
-			pt.recorded = []int32{}
-		}
-		pt.ds.storePartitions(pt.key, pt.recorded)
-		pt.cache.partRecs.Add(1)
-	}
-	if pt.replayed {
-		pt.cache.partPlays.Add(1)
-	}
-}
-
-func (e *Engine) runMapPhase(ctx context.Context, job *physical.Job, seg *segmentation, splits []split, numRed int, stats *JobStats, tracker *progressTracker, shufSig string, cache *BatchCache) ([]mapResult, error) {
+func (e *Engine) runMapPhase(ctx context.Context, job *physical.Job, seg *segmentation, splits []split, numRed int, stats *JobStats, tracker *progressTracker) ([]mapResult, error) {
 	results := make([]mapResult, len(splits))
 	errs := make([]error, len(splits))
 	var wg sync.WaitGroup
@@ -720,7 +564,7 @@ func (e *Engine) runMapPhase(ctx context.Context, job *physical.Job, seg *segmen
 				return
 			}
 			defer func() { <-e.sem }()
-			results[idx], errs[idx] = e.runMapTask(job, seg, splits[idx], idx, numRed, shufSig, cache)
+			results[idx], errs[idx] = e.runMapTask(job, seg, splits[idx], idx, numRed)
 			if errs[idx] == nil {
 				tracker.tick(e.cfg.Cost.TaskTime(results[idx].work))
 			}
@@ -750,22 +594,20 @@ func mergeOutputs(dst map[string]OutputStat, src map[string]OutputStat) {
 	}
 }
 
-func (e *Engine) runMapTask(job *physical.Job, seg *segmentation, sp split, taskIdx, numRed int, shufSig string, cache *BatchCache) (mapResult, error) {
+func (e *Engine) runMapTask(job *physical.Job, seg *segmentation, sp split, taskIdx, numRed int) (mapResult, error) {
 	mr := mapResult{outs: map[string]OutputStat{}}
 	if numRed > 0 {
 		mr.parts = make([][]rec, numRed)
 	}
 	px := newExec(seg.plan, seg.succ, seg.inMap)
 	px.suffix = fmt.Sprintf("part-m-%05d", taskIdx)
-	px.capture = cache != nil
-	pt := newPartitioner(sp, shufSig, numRed, cache)
 	var acc *combineAccumulator
 	switch {
 	case seg.combine != nil:
 		// Algebraic combiner: pre-aggregate per key in the map task.
 		acc = newCombineAccumulator(seg.combine, numRed)
 		px.keyed = func(branch int, key tuple.Value, t tuple.Tuple) {
-			acc.add(key, t, pt)
+			acc.add(key, t)
 		}
 	case seg.pkg != nil && seg.pkg.Mode == physical.PkgDistinct:
 		// Map-side duplicate elimination (Pig's distinct combiner).
@@ -774,7 +616,7 @@ func (e *Engine) runMapTask(job *physical.Job, seg *segmentation, sp split, task
 			seen[i] = map[string]bool{}
 		}
 		px.keyed = func(branch int, key tuple.Value, t tuple.Tuple) {
-			p := pt.next(key)
+			p := partition(key, numRed)
 			ks := tuple.ToString(key)
 			if seen[p][ks] {
 				return
@@ -788,9 +630,8 @@ func (e *Engine) runMapTask(job *physical.Job, seg *segmentation, sp split, task
 			// Shuffle volume accounting approximates Pig's compact
 			// serialization with the text width of value plus key.
 			n := int64(tuple.EncodeTextLen(t) + tuple.TextLen(key) + 2)
-			r := rec{key: key, branch: branch, t: t, bytes: n}
-			p := pt.next(key)
-			mr.parts[p] = append(mr.parts[p], r)
+			p := partition(key, numRed)
+			mr.parts[p] = append(mr.parts[p], rec{key: key, branch: branch, t: t, bytes: n})
 		}
 	}
 
@@ -808,11 +649,9 @@ func (e *Engine) runMapTask(job *physical.Job, seg *segmentation, sp split, task
 			return mr, err
 		}
 	}
-	pt.finish()
 	if err := px.close(e.fs, e.cfg.SimScale, mr.outs); err != nil {
 		return mr, err
 	}
-	mr.writes = px.writtenParts()
 	if acc != nil {
 		mr.parts = acc.drain()
 	}
@@ -878,12 +717,10 @@ func cursorFeedSafe(seg *segmentation, loadID int) bool {
 	return visit(loadID)
 }
 
-func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *segmentation, mapResults []mapResult, numRed int, stats *JobStats, tracker *progressTracker, capture bool) ([]time.Duration, []writtenPart, error) {
+func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *segmentation, mapResults []mapResult, numRed int, stats *JobStats, tracker *progressTracker) ([]time.Duration, error) {
 	times := make([]time.Duration, numRed)
 	errs := make([]error, numRed)
 	outs := make([]map[string]OutputStat, numRed)
-	writes := make([][]writtenPart, numRed)
-	shuffleIn := make([]int64, numRed)
 	var wg sync.WaitGroup
 	for r := 0; r < numRed; r++ {
 		wg.Add(1)
@@ -901,25 +738,23 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 				recs = append(recs, mr.parts[r]...)
 			}
 			outs[r] = map[string]OutputStat{}
-			times[r], shuffleIn[r], writes[r], errs[r] = e.runReduceTask(seg, recs, r, outs[r], capture)
+			times[r], errs[r] = e.runReduceTask(seg, recs, r, outs[r])
 			if errs[r] == nil {
 				tracker.tick(times[r])
 			}
 		}(r)
 	}
 	wg.Wait()
-	var allWrites []writtenPart
 	for r := 0; r < numRed; r++ {
 		if errs[r] != nil {
-			return nil, nil, fmt.Errorf("mapreduce: job %s reduce %d: %w", job.ID, r, errs[r])
+			return nil, fmt.Errorf("mapreduce: job %s reduce %d: %w", job.ID, r, errs[r])
 		}
 		mergeOutputs(stats.Outputs, outs[r])
-		allWrites = append(allWrites, writes[r]...)
 	}
-	return times, allWrites, nil
+	return times, nil
 }
 
-func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outStats map[string]OutputStat, capture bool) (time.Duration, int64, []writtenPart, error) {
+func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outStats map[string]OutputStat) (time.Duration, error) {
 	// Sort by key (respecting ORDER BY direction), then branch, stable.
 	desc := seg.pkg.Desc
 	sort.SliceStable(recs, func(i, j int) bool {
@@ -932,7 +767,6 @@ func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outSt
 
 	px := newExec(seg.plan, seg.succ, nil)
 	px.suffix = fmt.Sprintf("part-r-%05d", taskIdx)
-	px.capture = capture
 
 	var shuffleBytes int64
 	for _, r := range recs {
@@ -954,12 +788,12 @@ func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outSt
 			err = e.emitGroup(px, seg, group)
 		}
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, err
 		}
 		i = j
 	}
 	if err := px.close(e.fs, e.cfg.SimScale, outStats); err != nil {
-		return 0, 0, nil, err
+		return 0, err
 	}
 
 	var storeBytes int64
@@ -975,7 +809,7 @@ func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outSt
 		SortRecords:  int64(float64(len(recs)) * e.cfg.RecordScale),
 		NumStores:    px.numStores,
 	}
-	return e.cfg.Cost.TaskTime(work), int64(float64(shuffleBytes) * scale), px.writtenParts(), nil
+	return e.cfg.Cost.TaskTime(work), nil
 }
 
 func compareKeys(a, b tuple.Value, desc []bool) int {

@@ -1,9 +1,7 @@
 package mapreduce
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 
 	"repro/internal/dfs"
 	"repro/internal/expr"
@@ -29,21 +27,14 @@ type exec struct {
 	// suffix names this task's part files, e.g. "part-m-00003".
 	suffix string
 
-	// capture keeps a decoded batch of every part file this task
-	// writes, for cache write-through (see Engine.writeThrough).
-	capture bool
-
 	writers   map[int]*taskWriter // per Store op
 	limits    map[int]int64       // per Limit op counter
 	numStores int
 }
 
 type taskWriter struct {
-	path    string
-	rows    []tuple.Tuple
-	byteLen int64
-	batch   *tuple.Batch // decode of the written bytes, when capturing
-	ver     int64        // dataset version committed by this part's write
+	path string
+	rows []tuple.Tuple
 }
 
 func newExec(plan *physical.Plan, succ map[int][]int, inMap map[int]bool) *exec {
@@ -234,13 +225,7 @@ func (x *exec) close(fs dfs.Backend, simScale float64, outStats map[string]Outpu
 	}
 	for _, w := range x.writers {
 		f := fs.Create(w.path + "/" + x.suffix)
-		var out io.Writer = f
-		var buf *bytes.Buffer
-		if x.capture {
-			buf = &bytes.Buffer{}
-			out = io.MultiWriter(f, buf)
-		}
-		tw := tuple.NewWriter(out)
+		tw := tuple.NewWriter(f)
 		for _, t := range w.rows {
 			if err := tw.Write(t); err != nil {
 				return err
@@ -252,54 +237,12 @@ func (x *exec) close(fs dfs.Backend, simScale float64, outStats map[string]Outpu
 		if err := f.Close(); err != nil {
 			return err
 		}
-		// The version of this part's own commit, for write-through
-		// staleness detection. Both DFS backends capture it inside
-		// Close's critical section; the Version fallback for other
-		// backends leaves a small window a concurrent writer could
-		// slip into, which writeThrough's guard then cannot see.
-		if cv, ok := f.(interface{ CommittedVersion() int64 }); ok {
-			w.ver = cv.CommittedVersion()
-		} else {
-			w.ver = fs.Version(w.path)
-		}
-		if buf != nil {
-			// Decode the exact bytes that landed on the DFS, so the
-			// cached batch is indistinguishable from a later re-read
-			// (text round-trips can change value types, e.g. a float
-			// written as "5" re-reads as an int).
-			if b, err := tuple.DecodeTextBatch(buf.Bytes()); err == nil {
-				w.batch = b
-			}
-		}
-		w.byteLen = tw.Bytes()
 		cur := outStats[w.path]
 		cur.SimBytes += int64(float64(tw.Bytes()) * simScale)
 		cur.Records += int64(float64(tw.Rows()) * simScale)
 		outStats[w.path] = cur
 	}
 	return nil
-}
-
-// writtenPart is one part file a task wrote, decoded for write-through.
-type writtenPart struct {
-	dir   string // the Store dataset directory
-	file  string // full part-file path
-	batch *tuple.Batch
-	ver   int64 // dataset version committed by this part's write
-}
-
-// writtenParts returns the task's written part files with their
-// decoded batches; call after close. Parts without a captured batch
-// (capture off, or a decode failure) are skipped.
-func (x *exec) writtenParts() []writtenPart {
-	var out []writtenPart
-	for _, w := range x.writers {
-		if w.batch == nil {
-			continue
-		}
-		out = append(out, writtenPart{dir: w.path, file: w.path + "/" + x.suffix, batch: w.batch, ver: w.ver})
-	}
-	return out
 }
 
 func storeInReduce(p *physical.Plan, storeID int) bool {

@@ -231,9 +231,9 @@ type (
 	DurabilityStats = core.DurabilityStats
 	// LeaseStats snapshots the cross-process lease manager.
 	LeaseStats = core.LeaseStats
-	// BatchCacheStats snapshots the engine's decoded-dataset cache:
-	// hits, misses, resident bytes, evictions, invalidations, and
-	// shuffle partition replay counts.
+	// BatchCacheStats snapshots the engine's read-through
+	// decoded-dataset cache: hits, misses, resident bytes, evictions
+	// and invalidations.
 	BatchCacheStats = mapreduce.BatchCacheStats
 	// DeltaStats snapshots incremental maintenance: stored entries
 	// delta-refreshed after input appends, appended bytes read, and
