@@ -498,6 +498,7 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 		var existing []Candidate      // zero-cost candidates of the final plan
 		var targets []*physical.Op    // injectable targets of the final plan
 		var injectable []*physical.Op // targets this job actually materializes
+		rechecked := false
 
 		for attempt := 0; ; attempt++ {
 			wfMu.Lock()
@@ -532,7 +533,18 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 			wfMu.Unlock()
 
 			// Choose materialization points on the rewritten plan.
-			existing, targets = enum.Choose(job)
+			var skipped bool
+			existing, targets, skipped = enum.Choose(job)
+			// A skipped target already has a valid stored entry that the
+			// rewrite did not absorb: another query registered it after
+			// the rewrite ran. Rewrite once more so the job reads that
+			// output instead of recomputing the sub-job. An entry the
+			// matcher declines (a final job's whole-plan match) is
+			// skipped again, and the job goes on.
+			if skipped && opts.Reuse && !rechecked {
+				rechecked = true
+				continue
+			}
 			if !claimsOn {
 				injectable = targets
 				break
@@ -800,6 +812,8 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 // register stores the whole-job output and the enumerated sub-job
 // outputs in the repository (the enumerated sub-job selector) and
 // returns the entries kept plus the extra simulated bytes materialized.
+// The kept entries are inserted in one critical section, so a
+// concurrent probe sees all of the job's entries or none of them.
 // finalUser, when non-empty, is the user path the job's staged primary
 // output will be renamed to at commit: the whole-job entry is then
 // returned as deferred (pointing at the user path) instead of being
@@ -809,7 +823,7 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 // keeps stable.
 func (d *Driver) register(opts Options, eng *mapreduce.Engine, repo *Repository, job *physical.Job, cleanPlan *physical.Plan, candidates []Candidate, stats *mapreduce.JobStats, finalUser string) ([]*Entry, *Entry, int64) {
 	fs := eng.FS()
-	var stored []*Entry
+	var kept []*Entry
 	var deferred *Entry
 	var extraBytes int64
 
@@ -862,7 +876,7 @@ func (d *Driver) register(opts Options, eng *mapreduce.Engine, repo *Repository,
 				deferred = e
 			} else {
 				e.OutputVersion = fs.Version(e.OutputPath)
-				stored = append(stored, repo.Insert(e))
+				kept = append(kept, e)
 			}
 		}
 	}
@@ -890,12 +904,12 @@ func (d *Driver) register(opts Options, eng *mapreduce.Engine, repo *Repository,
 		if admit(e) {
 			stampMergeable(fs, e, prefixPlan)
 			e.OutputVersion = fs.Version(e.OutputPath)
-			stored = append(stored, repo.Insert(e))
+			kept = append(kept, e)
 		} else if !c.Existing {
 			_ = fs.Delete(c.Path) // rejected by the selector: reclaim now
 		}
 	}
-	return stored, deferred, extraBytes
+	return repo.InsertAll(kept), deferred, extraBytes
 }
 
 // beneficial estimates Section 5 Rule 2: reusing the entry must beat

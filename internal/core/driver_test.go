@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -642,6 +643,119 @@ store gamma into 'warm_gamma';
 			if !tuple.Equal(got[k], want[k]) {
 				t.Errorf("round %d row %d: %v, want %v", i, k, got[k], want[k])
 			}
+		}
+	}
+}
+
+// hookJournal is a journal that calls onPut for every journaled put.
+type hookJournal struct{ onPut func(e *Entry) }
+
+func (j hookJournal) appendPut(e *Entry, _ *footprint, _ int) { j.onPut(e) }
+func (hookJournal) appendRemove(*Entry)                       {}
+
+// TestRegisterInsertsJobEntriesAtomically is the claim race behind a
+// loser absorbing a smaller entry: a probe that runs while a job's
+// first entry is being journaled must see all of the job's entries or
+// none of them, never a prefix. hq1 compiles to one job, so every
+// entry it stores comes from one register call.
+func TestRegisterInsertsJobEntriesAtomically(t *testing.T) {
+	h := newHarness(t, Options{Reuse: true, Heuristic: Aggressive})
+	h.seedPigMixSmall(t)
+	var once sync.Once
+	seen := make(chan int, 1)
+	h.repo.SetJournal(hookJournal{onPut: func(*Entry) {
+		once.Do(func() {
+			go func() { seen <- h.repo.Len() }()
+			// Give the probe time to queue on the repository lock, so
+			// that a lock released between two inserts lets it in. The
+			// assertion cannot fail falsely without the pause; it only
+			// makes a split registration show reliably.
+			time.Sleep(20 * time.Millisecond)
+		})
+	}})
+	res := h.run(t, hq1)
+	if len(res.Stored) < 2 {
+		t.Fatalf("job registered %d entries, want at least 2", len(res.Stored))
+	}
+	if got := <-seen; got != 0 && got != len(res.Stored) {
+		t.Fatalf("probe during registration saw %d of the job's %d entries", got, len(res.Stored))
+	}
+}
+
+// existsHookFS calls onExists before every Exists check.
+type existsHookFS struct {
+	dfs.Backend
+	onExists func(path string)
+}
+
+func (f *existsHookFS) Exists(path string) bool {
+	if f.onExists != nil {
+		f.onExists(path)
+	}
+	return f.Backend.Exists(path)
+}
+
+// TestRewriteAbsorbsEntriesCommittedBeforeChoose is the claim race
+// behind a loser recomputing a shared sub-job: another query registers
+// the job's sub-job entries after the job's rewrite has probed but
+// before the enumerator chooses materialization points. The enumerator
+// skips those sub-jobs as stored; the job must then rewrite again and
+// read them, not recompute them without storing anything.
+func TestRewriteAbsorbsEntriesCommittedBeforeChoose(t *testing.T) {
+	mem := dfs.New()
+	fs := &existsHookFS{Backend: mem}
+	eng := mapreduce.New(fs, mapreduce.DefaultConfig())
+	repo := NewRepository()
+	h := &harness{fs: mem, eng: eng, repo: repo, driver: NewDriver(eng, repo, Options{Reuse: true, Heuristic: Aggressive})}
+	h.seedPigMixSmall(t)
+	want := h.read(t, h.run(t, hq1), "q1_out")
+
+	// Take the stored entries out of the repository, leaving their
+	// outputs, and put back a stale copy of the preferred sub-job.
+	var best *Entry
+	for _, e := range repo.Entries() {
+		repo.Remove(e.ID)
+		if best == nil && repo.Valid(e, fs) {
+			best = e
+		}
+	}
+	if best == nil {
+		t.Fatal("first run stored no reusable sub-job")
+	}
+	copyOf := func(versions map[string]int64) *Entry {
+		return &Entry{Plan: best.planSig(), OutputPath: best.OutputPath, Stats: best.Stats,
+			InputVersions: versions, OutputVersion: best.OutputVersion}
+	}
+	repo.Insert(copyOf(map[string]int64{"page_views": -1}))
+
+	// While the probe holds the read lock on the stale copy, register
+	// the valid one from another goroutine and return only once that
+	// writer is queued: it runs when the probe ends, before the
+	// enumerator's lookups.
+	var once sync.Once
+	fs.onExists = func(path string) {
+		if path != best.OutputPath {
+			return
+		}
+		once.Do(func() {
+			go repo.Insert(copyOf(best.InputVersions))
+			for repo.mu.TryRLock() {
+				repo.mu.RUnlock()
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+	res := h.run(t, hq1)
+	if len(res.Rewrites) == 0 {
+		t.Fatal("job recomputed sub-jobs registered while it was being rewritten")
+	}
+	got := h.read(t, res, "q1_out")
+	if len(got) != len(want) {
+		t.Fatalf("rows = %v, want %v", got, want)
+	}
+	for i := range want {
+		if !tuple.Equal(got[i], want[i]) {
+			t.Errorf("row %d = %v, want %v", i, got[i], want[i])
 		}
 	}
 }

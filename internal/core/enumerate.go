@@ -136,10 +136,11 @@ func groupAllPackage(plan *physical.Plan, pkg *physical.Op) bool {
 // operators whose outputs would need a Store injected. The split from
 // Inject lets the driver claim each target's plan fingerprint before
 // committing to materialize it: a concurrent query may already be
-// materializing the same sub-job.
-func (en *Enumerator) Choose(job *physical.Job) (existing []Candidate, targets []*physical.Op) {
+// materializing the same sub-job. skipped reports whether SkipExisting
+// suppressed any target.
+func (en *Enumerator) Choose(job *physical.Job) (existing []Candidate, targets []*physical.Op, skipped bool) {
 	if en.Heuristic == HeuristicOff {
-		return nil, nil
+		return nil, nil, false
 	}
 	plan := job.Plan
 	succ := plan.Successors()
@@ -152,11 +153,12 @@ func (en *Enumerator) Choose(job *physical.Job) (existing []Candidate, targets [
 			continue
 		}
 		if en.SkipExisting != nil && en.SkipExisting(SigOf(plan.PrefixPlan(op.ID, "candidate"))) {
+			skipped = true
 			continue
 		}
 		targets = append(targets, op)
 	}
-	return existing, targets
+	return existing, targets, skipped
 }
 
 // Inject materializes the chosen targets: each gets a Split+Store pair
@@ -176,7 +178,7 @@ func (en *Enumerator) Inject(job *physical.Job, targets []*physical.Op) []Candid
 // returns the candidates created: Choose followed by Inject of every
 // target.
 func (en *Enumerator) Enumerate(job *physical.Job) []Candidate {
-	existing, targets := en.Choose(job)
+	existing, targets, _ := en.Choose(job)
 	return append(existing, en.Inject(job, targets)...)
 }
 

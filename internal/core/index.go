@@ -261,20 +261,17 @@ type MatcherStats struct {
 	ScanVisited int64
 
 	// FullTraversals counts Algorithm 1 pairwise traversals actually
-	// run; Matches how many succeeded; NegativeHits how many traversals
-	// were skipped because a submission had already memoized the
-	// rejection for the same entry version and job fingerprint.
+	// run; Matches how many succeeded.
 	FullTraversals int64
 	Matches        int64
-	NegativeHits   int64
 
-	// Cross-query negative cache: traversals skipped because another
-	// submission had already rejected the same entry version against the
-	// same job fingerprint, rejections evicted by the LRU bound, and the
-	// cache's current size (0 size with 0 hits means it is disabled).
-	SharedNegHits      int64
-	SharedNegEvictions int64
-	SharedNegSize      int
+	// Negative-containment cache: traversals skipped because a probe —
+	// of this submission or an earlier one — had already rejected the
+	// same entry version against the same job fingerprint, rejections
+	// evicted by the LRU bound, and the cache's current size.
+	NegativeHits      int64
+	NegCacheEvictions int64
+	NegCacheSize      int
 
 	// IndexEntries and IndexSignatures size the inverted index: entries
 	// currently indexed and distinct frontier signatures posted.

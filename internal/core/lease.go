@@ -56,18 +56,18 @@ type LeaseManager struct {
 // in-flight claims unblock waiters within a minute.
 const DefaultLeaseTTL = time.Minute
 
-// DefaultLeasePoll is the cross-process lease polling interval.
-const DefaultLeasePoll = 2 * time.Millisecond
+// defaultPollInterval is the cross-process lease polling interval.
+const defaultPollInterval = 2 * time.Millisecond
 
 // NewLeaseManager returns a manager over the locks namespace at root.
 // owner identifies this process in lease records; ttl and poll default
-// to DefaultLeaseTTL and DefaultLeasePoll when zero.
+// to DefaultLeaseTTL and defaultPollInterval when zero.
 func NewLeaseManager(fs dfs.Backend, root, owner string, ttl, poll time.Duration) *LeaseManager {
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
 	if poll <= 0 {
-		poll = DefaultLeasePoll
+		poll = defaultPollInterval
 	}
 	return &LeaseManager{fs: fs, root: cleanPath(root), owner: owner, ttl: ttl, poll: poll, now: time.Now}
 }

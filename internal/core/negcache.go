@@ -6,26 +6,23 @@ import (
 	"sync/atomic"
 )
 
-// DefaultNegCacheSize bounds the cross-query negative-containment cache
-// when no explicit size is configured.
-const DefaultNegCacheSize = 4096
+// negCacheSize bounds the negative-containment cache.
+const negCacheSize = 4096
 
 // negCache is the bounded, repository-wide memo of failed containment
-// tests (the PR-4 follow-up): fleets of near-identical submissions —
-// dashboards re-running the same script — re-test the same entries
-// against the same job fingerprints, and the per-submission memo in
-// Rewriter forgets every rejection when the submission ends. This cache
-// carries them across queries.
+// tests: the claim protocol's re-rewrites of an unchanged plan, and
+// fleets of near-identical submissions — dashboards re-running the same
+// script — re-test the same entries against the same job fingerprints,
+// and skip the traversals already paid for.
 //
-// Soundness matches the per-submission memo's argument: a key pairs one
-// entry *version* (entries are immutable; replacement swaps a fresh
-// pointer) with one job-plan fingerprint (a pure function of the plan),
-// so a cached rejection can never suppress a live match. Replacement
+// A key pairs one entry *version* (entries are immutable; replacement
+// swaps a fresh pointer) with one job-plan fingerprint (a pure function
+// of the plan), so a cached rejection can never suppress a live match,
+// and an evicted key is only traversed and rejected again. Replacement
 // and removal still invalidate eagerly so the bounded capacity is not
 // wasted on dead entries.
 //
-// The structure is an LRU over container/list; all methods are
-// nil-safe so a disabled cache costs one nil check.
+// The structure is an LRU over container/list.
 type negCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -39,9 +36,6 @@ type negCache struct {
 }
 
 func newNegCache(capacity int) *negCache {
-	if capacity <= 0 {
-		return nil
-	}
 	return &negCache{
 		cap:     capacity,
 		nodes:   map[negKey]*list.Element{},
@@ -53,9 +47,6 @@ func newNegCache(capacity int) *negCache {
 // lookup reports whether the rejection is cached, refreshing its
 // recency on a hit.
 func (c *negCache) lookup(k negKey) bool {
-	if c == nil {
-		return false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el := c.nodes[k]
@@ -70,9 +61,6 @@ func (c *negCache) lookup(k negKey) bool {
 // add caches a rejection, evicting the least recently used one when the
 // cache is full.
 func (c *negCache) add(k negKey) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el := c.nodes[k]; el != nil {
@@ -95,9 +83,6 @@ func (c *negCache) add(k negKey) {
 // invalidate drops every cached rejection of the entry — called under
 // the repository lock when an entry is replaced or removed.
 func (c *negCache) invalidate(e *Entry) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for fp := range c.byEntry[e] {
@@ -123,9 +108,6 @@ func (c *negCache) removeLocked(k negKey) {
 
 // stats snapshots the cache counters for MatcherStats.
 func (c *negCache) stats() (hits, evictions int64, size int) {
-	if c == nil {
-		return 0, 0, 0
-	}
 	c.mu.Lock()
 	size = len(c.nodes)
 	c.mu.Unlock()

@@ -35,7 +35,7 @@ func TestSharedNegCacheAcrossRewriters(t *testing.T) {
 	repo := NewRepository()
 	repo.Insert(durableEntry(t, fs, negEntrySrc, 0))
 
-	run := func() (traversals, sharedHits int64) {
+	run := func() (traversals, negHits int64) {
 		before := repo.MatcherStats()
 		rw := &Rewriter{Repo: repo, FS: fs}
 		wf := compileJobs(t, negProbeSrc, "tmp/sn")
@@ -44,7 +44,7 @@ func TestSharedNegCacheAcrossRewriters(t *testing.T) {
 			repo.Unpin(ev.EntryID)
 		}
 		after := repo.MatcherStats()
-		return after.FullTraversals - before.FullTraversals, after.SharedNegHits - before.SharedNegHits
+		return after.FullTraversals - before.FullTraversals, after.NegativeHits - before.NegativeHits
 	}
 
 	t1, h1 := run()
@@ -53,10 +53,10 @@ func TestSharedNegCacheAcrossRewriters(t *testing.T) {
 	}
 	t2, h2 := run()
 	if h2 != 1 {
-		t.Fatalf("second submission hit the shared cache %d times, want 1", h2)
+		t.Fatalf("second submission hit the negative cache %d times, want 1", h2)
 	}
 	if t2 != 0 {
-		t.Fatalf("shared cache saved nothing: %d traversals on the second pass", t2)
+		t.Fatalf("negative cache saved nothing: %d traversals on the second pass", t2)
 	}
 
 	// Replacement invalidates: the fresh entry version is re-tested.
@@ -105,12 +105,4 @@ func TestSharedNegCacheBound(t *testing.T) {
 			t.Fatalf("invalidated entry still cached (job%d)", i)
 		}
 	}
-
-	// A disabled (nil) cache is inert.
-	var nc *negCache
-	nc.add(negKey{entry: e[0], jobFP: "x"})
-	if nc.lookup(negKey{entry: e[0], jobFP: "x"}) {
-		t.Fatal("nil cache returned a hit")
-	}
-	nc.invalidate(e[0])
 }

@@ -230,12 +230,11 @@ type Repository struct {
 	// applyPut/applyRemove, which bypass it.
 	jn journal
 
-	// negs is the bounded cross-query negative-containment cache; a nil
-	// pointer disables it. It is read on the match path while the
-	// repository read lock is already held, so it hangs off an atomic
-	// pointer rather than the lock. Keys hold entry pointers, so it is
+	// negs is the bounded negative-containment cache. It is read on
+	// the match path while the repository read lock is already held, so
+	// it carries its own lock. Keys hold entry pointers, so it is
 	// invalidated whenever an entry is replaced or removed.
-	negs atomic.Pointer[negCache]
+	negs *negCache
 
 	// pinMu guards pins. Lock order: mu before pinMu (Pin is called
 	// from Scan callbacks holding mu's read side; Vacuum checks pins
@@ -253,27 +252,24 @@ type Repository struct {
 	pinHook pinBroadcast
 
 	// Matcher counters (MatcherStats), all monotonic. The traversal
-	// counters are fed by Rewriters, which own the per-submission
-	// negative memo but report here so stats span submissions.
+	// counters are fed by Rewriters, which report here so stats span
+	// submissions.
 	probes          atomic.Int64
 	probeCandidates atomic.Int64
 	scans           atomic.Int64
 	scanVisited     atomic.Int64
 	traversals      atomic.Int64
 	matches         atomic.Int64
-	negHits         atomic.Int64
 }
 
-// NewRepository returns an empty repository with the default-sized
-// cross-query negative cache.
+// NewRepository returns an empty repository.
 func NewRepository() *Repository {
-	r := &Repository{
+	return &Repository{
 		byFP:  map[string]*Entry{},
 		pins:  map[string]int{},
 		index: newPlanIndex(),
+		negs:  newNegCache(negCacheSize),
 	}
-	r.negs.Store(newNegCache(DefaultNegCacheSize))
-	return r
 }
 
 // SetIDPrefix makes generated entry IDs "<prefix>eN". Durable
@@ -300,12 +296,6 @@ func (r *Repository) SetJournal(j journal) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.jn = j
-}
-
-// SetNegCacheSize resizes the cross-query negative-containment cache to
-// hold at most n rejections (n <= 0 disables it). The cache is cleared.
-func (r *Repository) SetNegCacheSize(n int) {
-	r.negs.Store(newNegCache(n))
 }
 
 // Len returns the number of entries.
@@ -375,9 +365,8 @@ func (r *Repository) noteScan(n int64) {
 }
 
 // noteMatchWork records the traversal work of one matching pass.
-func (r *Repository) noteMatchWork(traversals, negHits int64, matched bool) {
+func (r *Repository) noteMatchWork(traversals int64, matched bool) {
 	r.traversals.Add(traversals)
-	r.negHits.Add(negHits)
 	if matched {
 		r.matches.Add(1)
 	}
@@ -395,24 +384,11 @@ func (r *Repository) MatcherStats() MatcherStats {
 		ScanVisited:     r.scanVisited.Load(),
 		FullTraversals:  r.traversals.Load(),
 		Matches:         r.matches.Load(),
-		NegativeHits:    r.negHits.Load(),
 		IndexEntries:    entries,
 		IndexSignatures: sigs,
 	}
-	st.SharedNegHits, st.SharedNegEvictions, st.SharedNegSize = r.negs.Load().stats()
+	st.NegativeHits, st.NegCacheEvictions, st.NegCacheSize = r.negs.stats()
 	return st
-}
-
-// sharedNegCached reports whether the cross-query cache has memoized
-// this entry-version/job rejection. It takes no repository lock (the
-// match path calls it while already holding the read side).
-func (r *Repository) sharedNegCached(k negKey) bool {
-	return r.negs.Load().lookup(k)
-}
-
-// cacheSharedNeg memoizes a failed containment test across queries.
-func (r *Repository) cacheSharedNeg(k negKey) {
-	r.negs.Load().add(k)
 }
 
 // Lookup returns the entry whose plan fingerprint equals that of sig,
@@ -436,6 +412,35 @@ func (r *Repository) Insert(e *Entry) *Entry {
 	fp := e.fingerprint()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.insertLocked(e, fp)
+}
+
+// InsertAll inserts the entries, in order, in one critical section: a
+// concurrent probe sees all of them or none. A job registers its
+// entries this way, so a query matching while the job commits cannot
+// absorb a smaller entry whose larger sibling is about to appear. Each
+// entry is journaled as by Insert; the result holds what Insert would
+// return for each.
+func (r *Repository) InsertAll(es []*Entry) []*Entry {
+	if len(es) == 0 {
+		return nil
+	}
+	out := make([]*Entry, len(es))
+	fps := make([]string, len(es))
+	for i, e := range es {
+		fps[i] = e.fingerprint()
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, e := range es {
+		out[i] = r.insertLocked(e, fps[i])
+	}
+	return out
+}
+
+// insertLocked implements Insert for e with plan fingerprint fp (mu
+// held; callers hash the plan before taking the lock).
+func (r *Repository) insertLocked(e *Entry, fp string) *Entry {
 	if old := r.byFP[fp]; old != nil {
 		ne := *old
 		ne.OutputPath = e.OutputPath
@@ -455,7 +460,7 @@ func (r *Repository) Insert(e *Entry) *Entry {
 			}
 		}
 		r.index.remove(old)
-		r.negs.Load().invalidate(old)
+		r.negs.invalidate(old)
 		r.index.add(&ne)
 		r.insertOrdered(&ne)
 		r.byFP[fp] = &ne
@@ -546,7 +551,7 @@ func (r *Repository) EvictUnpinned(ids []string) []*Entry {
 				r.entries = append(r.entries[:i], r.entries[i+1:]...)
 				delete(r.byFP, e.fingerprint())
 				r.index.remove(e)
-				r.negs.Load().invalidate(e)
+				r.negs.invalidate(e)
 				r.journalRemove(e)
 				removed = append(removed, e)
 				break
@@ -568,7 +573,7 @@ func (r *Repository) Remove(id string) *Entry {
 			r.entries = append(r.entries[:i], r.entries[i+1:]...)
 			delete(r.byFP, e.fingerprint())
 			r.index.remove(e)
-			r.negs.Load().invalidate(e)
+			r.negs.invalidate(e)
 			r.journalRemove(e)
 			r.index.renumber(r.entries)
 			return e
@@ -624,7 +629,7 @@ func (r *Repository) Vacuum(fs dfs.Backend, now time.Duration, window time.Durat
 		if bad {
 			delete(r.byFP, e.fingerprint())
 			r.index.remove(e)
-			r.negs.Load().invalidate(e)
+			r.negs.invalidate(e)
 			r.journalRemove(e)
 			removed = append(removed, e)
 		} else {
@@ -722,7 +727,7 @@ func (r *Repository) applyPut(e *Entry, f *footprint, pos int, seq uint64) {
 			}
 		}
 		r.index.remove(old)
-		r.negs.Load().invalidate(old)
+		r.negs.invalidate(old)
 	}
 	e.logSeq = seq
 	if e.size == nil {
@@ -754,7 +759,7 @@ func (r *Repository) applyRemove(id string, seq uint64) {
 		r.entries = append(r.entries[:i], r.entries[i+1:]...)
 		delete(r.byFP, e.fingerprint())
 		r.index.remove(e)
-		r.negs.Load().invalidate(e)
+		r.negs.invalidate(e)
 		r.index.renumber(r.entries)
 		return
 	}

@@ -88,7 +88,8 @@ func TestRejectionReasons(t *testing.T) {
 				e := durableEntry(t, fs, negEntrySrc, 2)
 				repo.Insert(e)
 				// The same rewriter pays the containment traversal once;
-				// this probe must answer from its local memo.
+				// its next probe must answer from the repository's
+				// negative cache.
 				if rs, _ := candidateReasons(t, rw, negProbeSrc, true); rs[e.ID][0] != obs.ReasonContainmentFail {
 					t.Fatalf("warmup verdict = %v", rs[e.ID])
 				}
@@ -102,12 +103,12 @@ func TestRejectionReasons(t *testing.T) {
 				e := durableEntry(t, fs, negEntrySrc, 3)
 				repo.Insert(e)
 				// A different rewriter pays the rejection; this one must
-				// answer from the repository's shared cache.
+				// answer from the repository's negative cache.
 				other := &Rewriter{Repo: repo, FS: fs}
 				if rs, _ := candidateReasons(t, other, negProbeSrc, true); rs[e.ID][0] != obs.ReasonContainmentFail {
 					t.Fatalf("warmup verdict = %v", rs[e.ID])
 				}
-				return map[string]string{e.ID: obs.ReasonSharedNegCache}
+				return map[string]string{e.ID: obs.ReasonNegCache}
 			},
 		},
 		{

@@ -26,12 +26,12 @@ type Defaults struct {
 
 // Flags holds the registered engine flags until Open reads them.
 type Flags struct {
-	scale, heuristic, evict, nsRoot     *string
-	durablePath, backend, dataDir       *string
-	reuse, wholeJobs, durable           *bool
-	workers, maxJobs, negCache, compact *int
-	budgetMB, batchMB                   *int64
-	window, janitor, leaseTTL           *time.Duration
+	scale, heuristic, evict, nsRoot *string
+	durablePath, backend, dataDir   *string
+	reuse, wholeJobs, durable       *bool
+	workers, maxJobs, compact       *int
+	budgetMB, batchMB               *int64
+	window, janitor, leaseTTL       *time.Duration
 }
 
 // Register declares the engine flags on fs.
@@ -49,7 +49,6 @@ func Register(fs *flag.FlagSet, d Defaults) *Flags {
 		window:      fs.Duration("evict-window", time.Hour, "idle window of the reuse-window policy (simulated time)"),
 		janitor:     fs.Duration("janitor", 0, "background storage-janitor sweep interval (0 = off)"),
 		nsRoot:      fs.String("ns-root", "", "root of ReStore's managed namespaces (default: top-level tmp/ and restore/)"),
-		negCache:    fs.Int("neg-cache", 0, "cross-query negative-containment cache entries (0 = default 4096, negative = off)"),
 		durable:     fs.Bool("durable", false, "journal the repository to a manifest + event log on the DFS (crash-safe, multi-process)"),
 		durablePath: fs.String("durable-path", "", "DFS directory of the manifest and event log (default <ns-root>/repo)"),
 		compact:     fs.Int("compact-every", 0, "records between automatic log compactions (0 = default 64, negative = never)"),
@@ -102,7 +101,6 @@ func (f *Flags) Open() (*Engine, error) {
 	cfg.Eviction = policy
 	cfg.JanitorInterval = *f.janitor
 	cfg.NamespaceRoot = *f.nsRoot
-	cfg.NegCacheEntries = *f.negCache
 	cfg.Durability = restore.DurabilityConfig{
 		Enabled:      *f.durable,
 		Path:         *f.durablePath,

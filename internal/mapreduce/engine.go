@@ -184,15 +184,7 @@ func (p *progressTracker) tick(taskTime time.Duration) {
 // work, and the returned error wraps ctx.Err(). A cancelled job writes
 // no statistics and must not be registered in the repository.
 func (e *Engine) RunContext(ctx context.Context, job *physical.Job) (*JobStats, error) {
-	return e.RunContextObserved(ctx, job, nil)
-}
-
-// RunContextObserved is RunContext with a task-level progress observer;
-// progress (when non-nil) fires after every completed map and reduce
-// task, making long jobs observable through the query-handle Status
-// API.
-func (e *Engine) RunContextObserved(ctx context.Context, job *physical.Job, progress Progress) (*JobStats, error) {
-	return e.RunContextOpts(ctx, job, RunOptions{Progress: progress})
+	return e.RunContextOpts(ctx, job, RunOptions{})
 }
 
 // RunOptions tunes one job execution.

@@ -125,6 +125,64 @@ func TestMetricsPrometheus(t *testing.T) {
 	}
 }
 
+// promSample returns the value of one unlabeled sample of the
+// server's Prometheus exposition.
+func promSample(t *testing.T, client *http.Client, base, name string) string {
+	t.Helper()
+	resp, err := client.Get(base + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == name {
+			return f[1]
+		}
+	}
+	t.Fatalf("exposition has no %s sample", name)
+	return ""
+}
+
+// TestPrometheusCountsCrossQueryNegativeHits: a containment rejection
+// one query paid is answered from the negative cache for the next
+// query, and the exposition's negative-hit counter shows it.
+func TestPrometheusCountsCrossQueryNegativeHits(t *testing.T) {
+	_, base, client := newRealServer(t, Config{})
+	sess := newSession(t, client, base, "acme")
+	// The probing script reads the same operators wired the other way
+	// round, so the stored entries are nominated and then rejected.
+	const entryScript = `
+A = load 'events' as (user, amount);
+B = foreach A generate amount, user;
+C = distinct B;
+store C into '%s';
+`
+	const probeScript = `
+A = load 'events' as (user, amount);
+B = distinct A;
+C = foreach B generate amount, user;
+store C into '%s';
+`
+	run := func(script, out string) {
+		id, resp, data := submit(t, client, base, submitRequest{Session: sess, Script: fmt.Sprintf(script, out)})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d %s", resp.StatusCode, data)
+		}
+		if info := waitResult(t, client, base, id); info.State != StateDone {
+			t.Fatalf("query %s: %+v", out, info)
+		}
+	}
+	const name = "restore_matcher_negative_hits_total"
+	run(entryScript, "out/e")
+	run(probeScript, "out/p0")
+	before := promSample(t, client, base, name)
+	run(probeScript, "out/p1")
+	if after := promSample(t, client, base, name); after == before {
+		t.Fatalf("%s stayed %s across a query answered from the negative cache", name, before)
+	}
+}
+
 // TestQueryTraceEndpoint runs a real query and checks /queries/{id}/trace
 // returns its span tree, rooted at a submit span with a compile child.
 func TestQueryTraceEndpoint(t *testing.T) {

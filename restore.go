@@ -351,12 +351,6 @@ type Config struct {
 	// compactions. Zero disables the goroutine; Sweep still runs a pass
 	// on demand.
 	JanitorInterval time.Duration
-	// NegCacheEntries bounds the cross-query negative-containment cache
-	// (rejected containment tests memoized across submissions, keyed by
-	// entry version and job fingerprint and invalidated on entry
-	// replacement or removal). Zero keeps the default
-	// (core.DefaultNegCacheSize); negative disables the cache.
-	NegCacheEntries int
 	// Durability makes the repository survive restarts and lets several
 	// Systems opened over one DFS (see Recover) share it.
 	Durability DurabilityConfig
@@ -387,10 +381,8 @@ type DurabilityConfig struct {
 	// automatically).
 	CompactEvery int
 	// LeaseTTL bounds how long a crashed process's claims can block
-	// peers (0 = default 1 minute); LeasePoll is the cross-process lease
-	// polling interval (0 = default 2ms).
-	LeaseTTL  time.Duration
-	LeasePoll time.Duration
+	// peers (0 = default 1 minute).
+	LeaseTTL time.Duration
 }
 
 // DefaultConfig returns a configuration mirroring the paper's testbed
@@ -506,14 +498,11 @@ func Recover(cfg Config, fs dfs.Backend) (*System, error) {
 			return nil, err
 		}
 		leases = core.NewLeaseManager(fs, core.NamespacePath(cfg.NamespaceRoot, "locks"),
-			durable.Writer(), cfg.Durability.LeaseTTL, cfg.Durability.LeasePoll)
+			durable.Writer(), cfg.Durability.LeaseTTL, 0)
 		durable.SetCompactLock(leases)
 		prefix = durable.Writer()
 	} else {
 		repo = core.NewRepository()
-	}
-	if cfg.NegCacheEntries != 0 {
-		repo.SetNegCacheSize(cfg.NegCacheEntries)
 	}
 
 	store := core.NewStorageManager(repo, fs, cfg.MaxRepositoryBytes, cfg.Eviction)
